@@ -1,7 +1,8 @@
 //! # ist-bench
 //!
 //! Experiment binaries (one per paper table/figure — see DESIGN.md §4) and
-//! criterion benchmarks validating the §3.8 complexity claims.
+//! the GEMM throughput benchmark and its regression check (`bench_gemm`,
+//! `bench_diff`).
 
 #![forbid(unsafe_code)]
 

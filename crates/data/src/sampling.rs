@@ -196,7 +196,7 @@ impl SeqBatcher {
             .filter(|&u| sequences[u].len() >= 2)
             .collect();
         // Work ≈ max_len items copied per usable user.
-        if pool::should_parallelize(usable.len() * self.max_len, pool::elem_grain()) {
+        if pool::should_parallelize(usable.len() * self.max_len, pool::ELEM_GRAIN) {
             pool::parallel_map_chunks(&usable, self.batch_size, |chunk| {
                 self.build(sequences, chunk)
             })

@@ -53,7 +53,7 @@ pub fn attention_mask(batch: usize, len: usize, pad: &[bool], causal: bool) -> T
     };
     // One pool task per batch-block; each sequence's mask square is written
     // by exactly one task, so the pool size never changes the result.
-    if pool::should_parallelize(m.len(), pool::elem_grain()) && batch > 1 {
+    if pool::should_parallelize(m.len(), pool::ELEM_GRAIN) && batch > 1 {
         let per = batch.div_ceil(pool::global().threads()).max(1);
         pool::parallel_chunks_mut(&mut m, per * len * len, |ci, chunk| fill(ci * per, chunk));
     } else {

@@ -3,8 +3,8 @@
 //!
 //! A [`ReqCtx`] is allocated once per request at the serving front door
 //! (when [`active`] — any of access log, metrics, or tracing on) and rides
-//! the request through admission queue → batcher → scorer → shard fan-out →
-//! merge → reply. Each pipeline stage records its wall time into a slot of
+//! the request through admission queue → batcher → scorer → catalog GEMM →
+//! top-K → reply. Each pipeline stage records its wall time into a slot of
 //! the context ([`ReqCtx::record`]); when the request finishes, exactly one
 //! JSON line describing it is appended to the access log
 //! (`IST_SERVE_ACCESS_LOG=<path>` or [`set_access_log_path`]) and the
@@ -50,9 +50,9 @@ pub enum Stage {
     Cache,
     /// Encoder forward over the batch's cache misses (batch-level).
     Encode,
-    /// Sharded catalog GEMM + per-shard top-K (batch-level).
+    /// Catalog GEMM over the batch's representations (batch-level).
     Score,
-    /// K-way merge of per-shard rankings (batch-level).
+    /// Per-row bounded-heap top-K over the scores (batch-level).
     Merge,
     /// Response slot filled → the waiting caller woke up.
     Reply,
@@ -87,7 +87,6 @@ pub struct ReqCtx {
     filled_ns: AtomicU64,
     cache_hit: AtomicBool,
     batch: AtomicU64,
-    shards: AtomicU64,
 }
 
 /// True when request contexts should be allocated: any of the access log,
@@ -117,7 +116,6 @@ impl ReqCtx {
             filled_ns: AtomicU64::new(0),
             cache_hit: AtomicBool::new(false),
             batch: AtomicU64::new(0),
-            shards: AtomicU64::new(0),
         }))
     }
 
@@ -139,12 +137,10 @@ impl ReqCtx {
     }
 
     /// Records how the batch the request rode in looked: whether its
-    /// representation was a cache hit, the coalesced batch size, and the
-    /// shard fan-out it was scored under.
-    pub fn set_batch_info(&self, cache_hit: bool, batch: usize, shards: usize) {
+    /// representation was a cache hit, and the coalesced batch size.
+    pub fn set_batch_info(&self, cache_hit: bool, batch: usize) {
         self.cache_hit.store(cache_hit, Ordering::Relaxed);
         self.batch.store(batch as u64, Ordering::Relaxed);
-        self.shards.store(shards as u64, Ordering::Relaxed);
     }
 }
 
@@ -243,8 +239,6 @@ pub struct Exemplar {
     pub cache_hit: bool,
     /// Coalesced batch size the request rode in.
     pub batch: u64,
-    /// Shard fan-out it was scored under.
-    pub shards: u64,
     /// Per-stage micros, [`STAGE_NAMES`] order.
     pub stage_us: [u64; NUM_STAGES],
 }
@@ -287,12 +281,11 @@ pub fn finish(ctx: &ReqCtx, outcome: &'static str, degraded: bool) -> u64 {
 
     let cache_hit = ctx.cache_hit.load(Ordering::Relaxed);
     let batch = ctx.batch.load(Ordering::Relaxed);
-    let shards = ctx.shards.load(Ordering::Relaxed);
 
     if access_log_enabled() {
         let mut line = format!(
             "{{\"req\":{},\"outcome\":{},\"degraded\":{degraded},\"hist\":{},\"k\":{},\
-             \"cache_hit\":{cache_hit},\"batch\":{batch},\"shards\":{shards},\
+             \"cache_hit\":{cache_hit},\"batch\":{batch},\
              \"total_us\":{total_us}",
             ctx.id,
             json_string(outcome),
@@ -320,7 +313,6 @@ pub fn finish(ctx: &ReqCtx, outcome: &'static str, degraded: bool) -> u64 {
         k: ctx.k,
         cache_hit,
         batch,
-        shards,
         stage_us,
     });
     total_us
@@ -363,15 +355,14 @@ pub(crate) fn exemplar_trace_events() -> Vec<String> {
     for e in res.iter() {
         let mut args = format!(
             "{{\"req\":{},\"outcome\":{},\"degraded\":{},\"hist\":{},\"k\":{},\
-             \"cache_hit\":{},\"batch\":{},\"shards\":{}",
+             \"cache_hit\":{},\"batch\":{}",
             e.id,
             json_string(e.outcome),
             e.degraded,
             e.history_len,
             e.k,
             e.cache_hit,
-            e.batch,
-            e.shards
+            e.batch
         );
         for (name, us) in STAGE_NAMES.iter().zip(&e.stage_us) {
             args.push_str(&format!(",\"{name}_us\":{us}"));
@@ -429,7 +420,7 @@ mod tests {
         let t1 = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
         ctx.record(Stage::Score, t1.elapsed());
-        ctx.set_batch_info(true, 4, 2);
+        ctx.set_batch_info(true, 4);
         ctx.mark_filled();
         let total = finish(&ctx, "ok", false);
 
@@ -443,7 +434,6 @@ mod tests {
         assert!(line.contains("\"hist\":6"));
         assert!(line.contains("\"cache_hit\":true"));
         assert!(line.contains("\"batch\":4"));
-        assert!(line.contains("\"shards\":2"));
         for name in STAGE_NAMES {
             assert!(line.contains(&format!("\"{name}_us\":")), "{line}");
         }
@@ -471,7 +461,6 @@ mod tests {
                 k: 1,
                 cache_hit: false,
                 batch: 1,
-                shards: 1,
                 stage_us: [0; NUM_STAGES],
             });
         }

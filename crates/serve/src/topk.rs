@@ -1,28 +1,15 @@
-//! Bounded binary-heap top-K over a full-catalog score vector, plus the
-//! shard-aware variants ([`top_k_range`], [`merge_top_k`]) used by the
-//! column-sharded scoring path. All three share one descending rank
-//! comparator, so per-shard heaps merged across shards reproduce the
-//! single-heap global ranking exactly (including ties).
+//! Bounded binary-heap top-K over a full-catalog score vector.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::engine::Recommendation;
 
-/// Descending rank order on `(score, item)`: higher score first, ties rank
-/// the smaller item id first. Never panics — scores are checked finite
-/// before they reach ranking, and a hypothetical NaN collapses to
-/// `Equal` + id tie-break instead of poisoning an `unwrap`.
-pub fn rank_desc(a_score: f32, a_item: usize, b_score: f32, b_item: usize) -> Ordering {
-    b_score
-        .partial_cmp(&a_score)
-        .unwrap_or(Ordering::Equal)
-        .then(a_item.cmp(&b_item))
-}
-
 /// Heap entry ordered so the binary max-heap keeps the *worst* kept item at
 /// the root: `greater` means lower score, or equal score with a larger item
 /// id (ties rank the smaller id first, keeping results deterministic).
+/// Scores are checked finite before they reach the heap; a NaN would
+/// compare `Equal` and fall through to the id tie-break rather than panic.
 #[derive(PartialEq)]
 struct Worst {
     score: f32,
@@ -39,44 +26,49 @@ impl PartialOrd for Worst {
 
 impl Ord for Worst {
     fn cmp(&self, other: &Self) -> Ordering {
-        rank_desc(self.score, self.item, other.score, other.item)
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or(Ordering::Equal)
+            .then(self.item.cmp(&other.item))
     }
 }
 
 /// The `k` best items of a dense score vector (index = item id), best
 /// first; ties rank the smaller item id first. `k >= scores.len()` returns
-/// the whole catalog sorted. Any non-finite score is an error — a NaN
-/// would silently poison heap ordering, so it must never reach ranking.
+/// the whole catalog sorted. Any non-finite score is an error naming the
+/// first such item — a NaN would silently poison heap ordering, so it must
+/// never reach ranking.
 ///
-/// `O(n log k)` time, `O(k)` space: items beat the current worst kept
-/// entry or are dropped immediately.
+/// `O(n log k)` time, `O(k)` space. After a lane-wise finiteness pre-pass,
+/// the scan compares each score with the cached score of the worst kept
+/// entry and touches the heap only when it is strictly greater: ids
+/// ascend, so a candidate that ties the threshold always ranks below the
+/// kept entry it ties (`+0.0` and `-0.0` tie too).
 pub fn top_k(scores: &[f32], k: usize) -> Result<Vec<Recommendation>, String> {
-    top_k_range(scores, 0, k)
-}
-
-/// [`top_k`] over a score slice whose index 0 corresponds to item id
-/// `base`: the sharded scoring path scores column block
-/// `[base, base + scores.len())` of the catalog into a dense buffer and
-/// ranks it without re-indexing a full-width vector.
-pub fn top_k_range(scores: &[f32], base: usize, k: usize) -> Result<Vec<Recommendation>, String> {
     let k = k.min(scores.len());
     if k == 0 {
         return Ok(Vec::new());
     }
-    let mut heap: BinaryHeap<Worst> = BinaryHeap::with_capacity(k + 1);
-    for (off, &score) in scores.iter().enumerate() {
-        let item = base + off;
-        if !score.is_finite() {
-            return Err(format!("non-finite score {score} for item {item}"));
+    if let Some(item) = first_non_finite(scores) {
+        return Err(format!("non-finite score {} for item {item}", scores[item]));
+    }
+    let mut heap: BinaryHeap<Worst> = scores[..k]
+        .iter()
+        .enumerate()
+        .map(|(item, &score)| Worst { score, item })
+        .collect();
+    let mut threshold = heap.peek().expect("heap holds k > 0 entries").score;
+    for (chunk_idx, chunk) in scores[k..].chunks(LANES).enumerate() {
+        // Non-short-circuiting, so the common all-below case vectorises.
+        if !chunk.iter().fold(false, |hit, &s| hit | (s > threshold)) {
+            continue;
         }
-        if heap.len() < k {
-            heap.push(Worst { score, item });
-        } else if let Some(worst) = heap.peek() {
-            // `Worst` orders worse-first, so `candidate < worst` means the
-            // candidate ranks better than the current worst kept entry.
-            if (Worst { score, item }) < *worst {
-                heap.pop();
-                heap.push(Worst { score, item });
+        for (off, &score) in chunk.iter().enumerate() {
+            if score > threshold {
+                let item = k + chunk_idx * LANES + off;
+                *heap.peek_mut().expect("heap holds k > 0 entries") = Worst { score, item };
+                threshold = heap.peek().expect("heap holds k > 0 entries").score;
             }
         }
     }
@@ -91,45 +83,18 @@ pub fn top_k_range(scores: &[f32], base: usize, k: usize) -> Result<Vec<Recommen
         .collect())
 }
 
-/// Merge per-shard top-K lists (each already best-first per [`rank_desc`])
-/// into the global best-`k`, preserving the exact ordering a single
-/// unsharded [`top_k`] would produce. Shards cover disjoint item ranges, so
-/// a k-way front-merge by the shared comparator is sufficient: at every
-/// step the globally next-best candidate is one of the shard fronts.
-pub fn merge_top_k(lists: &[Vec<Recommendation>], k: usize) -> Vec<Recommendation> {
-    let total: usize = lists.iter().map(|l| l.len()).sum();
-    let k = k.min(total);
-    let mut out = Vec::with_capacity(k);
-    let mut cursors = vec![0usize; lists.len()];
-    while out.len() < k {
-        let mut best: Option<usize> = None;
-        for (li, list) in lists.iter().enumerate() {
-            let ci = cursors[li];
-            if ci >= list.len() {
-                continue;
-            }
-            best = match best {
-                None => Some(li),
-                Some(b) => {
-                    let cand = &list[ci];
-                    let cur = &lists[b][cursors[b]];
-                    if rank_desc(cand.score, cand.item, cur.score, cur.item) == Ordering::Less {
-                        Some(li)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        match best {
-            Some(li) => {
-                out.push(lists[li][cursors[li]]);
-                cursors[li] += 1;
-            }
-            None => break,
-        }
-    }
-    out
+/// Scores examined per vectorised step of [`top_k`]'s scans.
+const LANES: usize = 16;
+
+/// Index of the first non-finite score, checking [`LANES`] scores per
+/// branch.
+fn first_non_finite(scores: &[f32]) -> Option<usize> {
+    let (chunk_idx, chunk) = scores
+        .chunks(LANES)
+        .enumerate()
+        .find(|(_, chunk)| !chunk.iter().fold(true, |ok, s| ok & s.is_finite()))?;
+    let off = chunk.iter().position(|s| !s.is_finite())?;
+    Some(chunk_idx * LANES + off)
 }
 
 #[cfg(test)]
@@ -141,20 +106,6 @@ mod tests {
         all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
         all.truncate(k);
         all
-    }
-
-    fn sharded(scores: &[f32], shards: usize, k: usize) -> Vec<Recommendation> {
-        let n = scores.len();
-        let s = shards.clamp(1, n.max(1));
-        let (w, rem) = (n / s, n % s);
-        let mut lists = Vec::with_capacity(s);
-        let mut base = 0usize;
-        for si in 0..s {
-            let width = w + usize::from(si < rem);
-            lists.push(top_k_range(&scores[base..base + width], base, k).unwrap());
-            base += width;
-        }
-        merge_top_k(&lists, k)
     }
 
     #[test]
@@ -172,16 +123,22 @@ mod tests {
     }
 
     #[test]
-    fn k_larger_than_catalog_returns_everything() {
-        let scores = [1.0, 2.0];
-        let got = top_k(&scores, 10).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].item, 1);
+    fn k_at_least_catalog_returns_everything_sorted() {
+        let scores = [0.5, -2.0, 3.0, 0.5];
+        for k in [4, 5, 100] {
+            let got = top_k(&scores, k).unwrap();
+            assert_eq!(
+                got.iter().map(|r| (r.item, r.score)).collect::<Vec<_>>(),
+                brute_force(&scores, 4)
+            );
+        }
     }
 
     #[test]
     fn k_zero_and_empty_catalog() {
         assert!(top_k(&[1.0], 0).unwrap().is_empty());
+        // k = 0 asks for nothing, so nothing is scanned or rejected.
+        assert!(top_k(&[1.0, f32::NAN], 0).unwrap().is_empty());
         assert!(top_k(&[], 5).unwrap().is_empty());
     }
 
@@ -190,42 +147,62 @@ mod tests {
         assert!(top_k(&[1.0, f32::NAN, 2.0], 2).is_err());
         assert!(top_k(&[1.0, f32::INFINITY], 1).is_err());
         assert!(top_k(&[f32::NEG_INFINITY], 1).is_err());
+        // After position k, below or above the threshold: the error names
+        // the first bad item.
+        let mut scores: Vec<f32> = (0..100).map(|i| i as f32).collect();
+        scores[57] = f32::NAN;
+        scores[90] = f32::INFINITY;
+        let err = top_k(&scores, 3).unwrap_err();
+        assert!(err.contains("item 57"), "{err}");
+        scores[57] = 0.0;
+        scores[4] = f32::NEG_INFINITY;
+        let err = top_k(&scores, 2).unwrap_err();
+        assert!(err.contains("item 4"), "{err}");
     }
 
     #[test]
-    fn range_offsets_item_ids() {
-        let got = top_k_range(&[1.0, 5.0, 3.0], 100, 2).unwrap();
-        assert_eq!(got[0].item, 101);
-        assert_eq!(got[1].item, 102);
-    }
-
-    #[test]
-    fn merge_reproduces_unsharded_ranking() {
-        let scores = [0.5, -1.0, 3.0, 3.0, 2.0, 0.0, 3.0, -0.5];
-        for shards in [1usize, 2, 3, 5, 8, 13] {
-            for k in [0usize, 1, 3, 8, 20] {
-                let want = top_k(&scores, k).unwrap();
-                let got = sharded(&scores, shards, k);
-                assert_eq!(
-                    got.iter()
-                        .map(|r| (r.item, r.score.to_bits()))
-                        .collect::<Vec<_>>(),
-                    want.iter()
-                        .map(|r| (r.item, r.score.to_bits()))
-                        .collect::<Vec<_>>(),
-                    "shards={shards} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn merge_of_all_duplicate_scores_orders_by_id() {
-        let scores = [7.0; 9];
-        let got = sharded(&scores, 4, 5);
+    fn ties_at_the_threshold_keep_the_smaller_ids() {
+        // Once the heap holds items 0..3, the threshold is 1.0; every later
+        // 1.0 ties it with a larger id and must be dropped, while a later
+        // 1.5 displaces the worst kept entry (item 2, the largest id at 1.0).
+        let mut scores = vec![2.0, 1.0, 1.0];
+        scores.extend([1.0; 40]);
+        scores.push(1.5);
+        scores.extend([1.0; 40]);
+        let got = top_k(&scores, 3).unwrap();
+        let items: Vec<usize> = got.iter().map(|r| r.item).collect();
+        assert_eq!(items, vec![0, 43, 1]);
         assert_eq!(
-            got.iter().map(|r| r.item).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
+            got.iter().map(|r| (r.item, r.score)).collect::<Vec<_>>(),
+            brute_force(&scores, 3)
         );
+    }
+
+    #[test]
+    fn signed_zeros_tie() {
+        // -0.0 == +0.0: neither displaces the other, the smaller id wins
+        // and keeps its own sign bit.
+        let got = top_k(&[-0.0, 0.0, -1.0], 1).unwrap();
+        assert_eq!(got[0].item, 0);
+        assert_eq!(got[0].score.to_bits(), (-0.0f32).to_bits());
+        let got = top_k(&[-1.0, 0.0, -0.0, 0.0], 2).unwrap();
+        assert_eq!(got.iter().map(|r| r.item).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(got[1].score.to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn matches_full_sort_across_lane_boundaries() {
+        // Few distinct values, so ties straddle every LANES boundary.
+        let scores: Vec<f32> = (0..1000u32)
+            .map(|i| ((i.wrapping_mul(2_654_435_761) >> 7) % 13) as f32 - 6.0)
+            .collect();
+        for k in [1, 5, 16, 17, 64, 999, 1000] {
+            let got = top_k(&scores, k).unwrap();
+            assert_eq!(
+                got.iter().map(|r| (r.item, r.score)).collect::<Vec<_>>(),
+                brute_force(&scores, k),
+                "k={k}"
+            );
+        }
     }
 }

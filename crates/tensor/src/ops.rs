@@ -17,7 +17,7 @@ use crate::Tensor;
 /// size gates — and since every kernel is elementwise, results are
 /// identical however the buffer is split.
 fn fill_chunks(out: &mut [f32], kernel: &(impl Fn(usize, &mut [f32]) + Sync)) {
-    if pool::should_parallelize(out.len(), pool::elem_grain()) {
+    if pool::should_parallelize(out.len(), pool::ELEM_GRAIN) {
         let chunk = out.len().div_ceil(pool::global().threads()).max(1);
         pool::parallel_chunks_mut(out, chunk, |ci, o| kernel(ci * chunk, o));
     } else {
