@@ -14,6 +14,7 @@
 # Usage:
 #   ./ci.sh          # run every stage
 #   ./ci.sh gate     # just the tier-1 gate (build + tests)
+#   ./ci.sh workspace  # every crate's tests, release build
 #   ./ci.sh fmt | clippy | bench | determinism | simd | faults | metrics | trace | serve | chaos
 
 set -euo pipefail
@@ -42,6 +43,14 @@ run_gate() {
     stage "tier-1 gate: cargo build --release && cargo test -q"
     cargo build --release --locked
     cargo test -q --locked
+}
+
+run_workspace() {
+    stage "workspace tests: cargo test --workspace --release"
+    # Tier-1 runs the root package's tests only; this runs every crate's
+    # unit and integration tests, so a failure in a library crate cannot
+    # hide behind a green gate.
+    cargo test --workspace --release --locked
 }
 
 run_fmt() {
@@ -633,6 +642,7 @@ EOF
 
 case "${1:-all}" in
     gate)        run_gate ;;
+    workspace)   run_workspace ;;
     fmt)         run_fmt ;;
     clippy)      run_clippy ;;
     bench)       run_bench ;;
@@ -645,6 +655,7 @@ case "${1:-all}" in
     chaos)       run_chaos ;;
     all)
         run_gate
+        run_workspace
         run_fmt
         run_clippy
         run_bench
@@ -658,7 +669,7 @@ case "${1:-all}" in
         printf '\nci.sh: all stages passed\n'
         ;;
     *)
-        echo "usage: $0 [all|gate|fmt|clippy|bench|determinism|simd|faults|metrics|trace|serve|chaos]" >&2
+        echo "usage: $0 [all|gate|workspace|fmt|clippy|bench|determinism|simd|faults|metrics|trace|serve|chaos]" >&2
         exit 2
         ;;
 esac

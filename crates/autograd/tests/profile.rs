@@ -1,10 +1,11 @@
-//! Autograd profiler integration tests: op attribution, window coverage,
-//! and DOT export.
+//! Autograd profiler integration tests: op attribution and window coverage.
 //!
 //! Profiler state is process-global, so the attribution/coverage checks
-//! live in a single test function (tests in one binary run in parallel).
+//! live in a single test function, alone in this binary: tests in one
+//! binary run in parallel, and any other test's ops would be attributed
+//! here too.
 
-use ist_autograd::{fused, ops, profile, Param, Tape};
+use ist_autograd::{fused, ops, profile, Tape};
 use ist_tensor::rng::{randn, SeedRng, SeedRngExt};
 use ist_tensor::Tensor;
 
@@ -16,10 +17,13 @@ fn attribution_and_coverage() {
     let n = 96;
     let mut rng = SeedRng::seed(7);
     for _ in 0..3 {
+        // Draw the inputs before the window opens: sampling is not an op,
+        // so time spent on it inside the window would count as uncovered.
+        let (a0, b0) = (randn(&[n, n], 1.0, &mut rng), randn(&[n, n], 1.0, &mut rng));
         let tape = Tape::new();
         let _window = profile::forward_window();
-        let a = tape.leaf(randn(&[n, n], 1.0, &mut rng));
-        let b = tape.leaf(randn(&[n, n], 1.0, &mut rng));
+        let a = tape.leaf(a0);
+        let b = tape.leaf(b0);
         let prod = ops::matmul(&a, &b);
         let act = ops::tanh(&prod);
         let gamma = tape.leaf(Tensor::full(&[n], 1.0));
@@ -78,37 +82,4 @@ fn attribution_and_coverage() {
     assert!(json.contains("\"span\":\"autograd.coverage\""));
 
     ist_obs::set_mode(ist_obs::Mode::Off);
-}
-
-#[test]
-fn dot_export_names_ops_and_params() {
-    let tape = Tape::new();
-    let mut rng = SeedRng::seed(3);
-    let w = Param::new("w.proj", randn(&[4, 4], 1.0, &mut rng));
-    let wv = w.leaf(&tape);
-    let x = tape.constant(randn(&[2, 4], 1.0, &mut rng));
-    let h = ops::matmul(&x, &wv);
-    let _loss = ops::sum_all(&ops::relu(&h));
-
-    let dot = tape.to_dot();
-    assert!(dot.starts_with("digraph tape {"));
-    assert!(dot.contains("param: w.proj"), "dot:\n{dot}");
-    assert!(dot.contains("matmul"));
-    assert!(dot.contains("relu"));
-    assert!(dot.contains("style=dashed"), "constants should be dashed");
-    assert!(dot.contains("->"));
-    assert!(dot.trim_end().ends_with('}'));
-
-    // Every node referenced by an edge is declared.
-    for cap in dot.lines().filter(|l| l.contains("->")) {
-        let ids: Vec<&str> = cap
-            .trim()
-            .trim_end_matches(';')
-            .split("->")
-            .map(str::trim)
-            .collect();
-        for id in ids {
-            assert!(dot.contains(&format!("{id} [label=")), "undeclared {id}");
-        }
-    }
 }

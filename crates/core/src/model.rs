@@ -9,6 +9,7 @@ use ist_nn::attention::{attention_mask, TransformerEncoder};
 use ist_nn::embedding::{Embedding, PositionalEmbedding};
 use ist_nn::linear::Linear;
 use ist_nn::{ctx::dropout, init, Ctx, Module};
+use ist_tensor::matmul::matmul;
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use ist_tensor::{reduce, Tensor};
 
@@ -146,9 +147,10 @@ impl Isrec {
         self.k
     }
 
-    /// Embedding of the behaviour sequence (Eq. 1–4): item + positional +
-    /// summed concept embeddings through the causal transformer.
-    fn encode(&self, ctx: &mut Ctx, batch: &SeqBatch) -> Var {
+    /// Encoder input (Eq. 1–2): item + positional + summed concept
+    /// embeddings per position, plus the causal padding mask. Shared by
+    /// [`Self::encode`] and [`Self::infer_last_repr`].
+    fn embed(&self, ctx: &mut Ctx, batch: &SeqBatch) -> (Var, Tensor) {
         let item_e = self.item_emb.forward(ctx, &batch.inputs);
         let pos_e = self.pos_emb.forward(ctx, batch.batch, batch.len);
         let bags: Vec<Vec<usize>> = batch
@@ -161,6 +163,13 @@ impl Isrec {
         let h0 = ops::add(&ops::add(&item_e, &pos_e), &concept_e);
         let h0 = dropout(ctx, &h0, self.cfg.dropout);
         let mask = attention_mask(batch.batch, batch.len, &batch.pad, true);
+        (h0, mask)
+    }
+
+    /// Embedding of the behaviour sequence (Eq. 1–4): item + positional +
+    /// summed concept embeddings through the causal transformer.
+    fn encode(&self, ctx: &mut Ctx, batch: &SeqBatch) -> Var {
+        let (h0, mask) = self.embed(ctx, batch);
         self.encoder
             .forward(ctx, &h0, batch.batch, batch.len, &mask)
     }
@@ -352,25 +361,33 @@ impl Isrec {
     /// batching and caching guarantees rest on this invariant (pinned by
     /// `infer_last_repr_is_batch_size_invariant` below and the CI serve
     /// stage).
+    ///
+    /// The same invariant lets this path compute only what the newest
+    /// position needs. Histories are left-padded, so that position is row
+    /// `max_len − 1` of each history. All encoder blocks but the last run
+    /// over every position (the last block's keys and values need them);
+    /// the last block runs its query, attention, layer norms and
+    /// feed-forward for the newest rows alone
+    /// ([`TransformerEncoder::forward_last`]), and the intent pipeline —
+    /// cosine sims, top-λ, lifting, GCN, decoder — sees only those `m`
+    /// rows. A row's value does not depend on which other rows a stage
+    /// processes, and `gemm_blocked`'s single-row and 4-row paths agree
+    /// bitwise on finite inputs, so the result equals the newest rows of
+    /// the all-position forward bit for bit
+    /// (`infer_last_repr_matches_the_all_position_forward` below).
     pub fn infer_last_repr(&self, histories: &[&[usize]]) -> Tensor {
         let m = histories.len();
-        let (t, d) = (self.cfg.max_len, self.cfg.d);
         if m == 0 {
-            return Tensor::zeros(&[0, d]);
+            return Tensor::zeros(&[0, self.cfg.d]);
         }
-        let batcher = self.batcher(m);
-        let batch = batcher.inference_batch(histories);
+        let batch = self.batcher(m).inference_batch(histories);
         let mut ctx = Ctx::inference();
-        let x = self.encode(&mut ctx, &batch);
+        let (h0, mask) = self.embed(&mut ctx, &batch);
+        let x = self
+            .encoder
+            .forward_last(&mut ctx, &h0, batch.batch, batch.len, &mask);
         let (x_next, _) = self.intent_pipeline(&mut ctx, &x, false);
-        let v = x_next.value(); // [m*t, d]
-        let mut out = vec![0.0f32; m * d];
-        for bi in 0..m {
-            // Left padding ⇒ the newest position is always t-1.
-            let row = bi * t + (t - 1);
-            out[bi * d..(bi + 1) * d].copy_from_slice(&v.data()[row * d..(row + 1) * d]);
-        }
-        Tensor::from_vec(out, &[m, d])
+        x_next.value()
     }
 
     /// The Eq.-12 output item table — item embeddings plus, when
@@ -465,19 +482,13 @@ impl SequentialRecommender for Isrec {
         candidates: &[&[usize]],
     ) -> Vec<Vec<f32>> {
         assert_eq!(histories.len(), candidates.len());
-        let batcher = self.batcher(1);
-        let t = self.cfg.max_len;
+        let table_t = self.output_item_table_t();
         let mut out = Vec::with_capacity(histories.len());
         const CHUNK: usize = 128;
         for (hist_chunk, cand_chunk) in histories.chunks(CHUNK).zip(candidates.chunks(CHUNK)) {
-            let batch = batcher.inference_batch(hist_chunk);
-            let mut ctx = Ctx::eval();
-            let (logits, _) = self.forward_logits(&mut ctx, &batch, false);
-            let lv = logits.value();
+            let scores = matmul(&self.infer_last_repr(hist_chunk), &table_t);
             for (bi, cands) in cand_chunk.iter().enumerate() {
-                // Left padding ⇒ the newest position is always t-1.
-                let row = bi * t + (t - 1);
-                out.push(cands.iter().map(|&c| lv.at2(row, c)).collect());
+                out.push(cands.iter().map(|&c| scores.at2(bi, c)).collect());
             }
         }
         out
@@ -686,6 +697,115 @@ mod tests {
             scores.data(),
             &logits.value().data()[last..last + ds.num_items]
         );
+    }
+
+    /// The plain path `infer_last_repr` replaces: encode every position,
+    /// run the intent pipeline over all rows, keep each history's newest
+    /// row.
+    fn all_position_last_repr(model: &Isrec, histories: &[&[usize]]) -> Vec<f32> {
+        let batch = model.batcher(histories.len()).inference_batch(histories);
+        let mut ctx = Ctx::inference();
+        let x = model.encode(&mut ctx, &batch);
+        let (x_next, _) = model.intent_pipeline(&mut ctx, &x, false);
+        let (v, t, d) = (x_next.value(), batch.len, model.cfg.d);
+        (0..histories.len())
+            .flat_map(|b| v.data()[(b * t + t - 1) * d..(b * t + t) * d].to_vec())
+            .collect()
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn infer_last_repr_matches_the_all_position_forward() {
+        let ds = tiny_dataset();
+        let (d, max_len) = (16, 10);
+        // Shorter than, equal to and longer than max_len, plus empty.
+        let hists: Vec<Vec<usize>> = [3usize, max_len, 17, 0, 1]
+            .iter()
+            .enumerate()
+            .map(|(s, &len)| (0..len).map(|i| (7 * i + 5 * s) % ds.num_items).collect())
+            .collect();
+        let refs: Vec<&[usize]> = hists.iter().map(|h| h.as_slice()).collect();
+        let variants = [
+            IsrecVariant::Full,
+            IsrecVariant::WithoutGnn,
+            IsrecVariant::WithoutGnnAndIntent,
+        ];
+        let modes = [
+            AdjacencyMode::Fixed,
+            AdjacencyMode::Learned,
+            AdjacencyMode::Mixed,
+        ];
+        for variant in variants {
+            for adjacency in modes {
+                for soft_intents in [false, true] {
+                    for concept_hidden in [None, Some(8)] {
+                        for residual_decoder in [false, true] {
+                            for layers in [1, 2] {
+                                let cfg = IsrecConfig {
+                                    d,
+                                    d_prime: 4,
+                                    lambda: 4,
+                                    max_len,
+                                    layers,
+                                    heads: 2,
+                                    variant,
+                                    adjacency,
+                                    soft_intents,
+                                    concept_hidden,
+                                    residual_decoder,
+                                    ..Default::default()
+                                };
+                                let case = format!("{cfg:?}");
+                                let model = Isrec::new(&ds, cfg, 7);
+                                let batched = model.infer_last_repr(&refs);
+                                let want = all_position_last_repr(&model, &refs);
+                                assert!(same_bits(batched.data(), &want), "batch of 5: {case}");
+                                for (i, h) in refs.iter().enumerate() {
+                                    let one = model.infer_last_repr(&[h]);
+                                    assert!(
+                                        same_bits(one.data(), &want[i * d..(i + 1) * d]),
+                                        "history {i} alone: {case}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn score_batch_matches_forward_logits_last_rows() {
+        let ds = tiny_dataset();
+        let split = LeaveOneOut::split(&ds.sequences);
+        let hists: Vec<Vec<usize>> = (0..5).map(|u| split.test_history(u)).collect();
+        let refs: Vec<&[usize]> = hists.iter().map(|h| h.as_slice()).collect();
+        let cands: Vec<Vec<usize>> = (0..5)
+            .map(|u| (0..12).map(|j| (3 * j + u) % ds.num_items).collect())
+            .collect();
+        let cand_refs: Vec<&[usize]> = cands.iter().map(|c| c.as_slice()).collect();
+        for variant in [
+            IsrecVariant::Full,
+            IsrecVariant::WithoutGnn,
+            IsrecVariant::WithoutGnnAndIntent,
+        ] {
+            let model = tiny_model(&ds, variant);
+            let got = model.score_batch(&[], &refs, &cand_refs);
+
+            let batch = model.batcher(1).inference_batch(&refs);
+            let mut ctx = Ctx::eval();
+            let (logits, _) = model.forward_logits(&mut ctx, &batch, false);
+            let lv = logits.value();
+            for (bi, c) in cands.iter().enumerate() {
+                let row = bi * batch.len + batch.len - 1;
+                let want: Vec<f32> = c.iter().map(|&j| lv.at2(row, j)).collect();
+                assert!(same_bits(&got[bi], &want), "{variant:?} history {bi}");
+            }
+        }
     }
 
     #[test]

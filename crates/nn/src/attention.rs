@@ -112,18 +112,39 @@ impl MultiHeadSelfAttention {
         mask: &Tensor,
         attn_dropout: f32,
     ) -> Var {
+        self.attend(ctx, x, x, batch, len, mask, attn_dropout)
+    }
+
+    /// Attention for a subset of query rows: `q_x: [B·Q, d]` holds `Q`
+    /// query positions per sequence, `x: [B·T, d]` every key/value
+    /// position, and `mask: [B, Q, T]` the matching mask rows. Returns
+    /// `[B·Q, d]`. With `q_x = x` and `Q = T` this is [`Self::forward`];
+    /// a query row's output depends only on that row of `q_x` and `mask`.
+    #[allow(clippy::too_many_arguments)]
+    fn attend(
+        &self,
+        ctx: &mut Ctx,
+        q_x: &Var,
+        x: &Var,
+        batch: usize,
+        len: usize,
+        mask: &Tensor,
+        attn_dropout: f32,
+    ) -> Var {
+        let q_len = mask.shape()[1];
+        debug_assert_eq!(q_x.shape(), vec![batch * q_len, self.d]);
         debug_assert_eq!(x.shape(), vec![batch * len, self.d]);
-        debug_assert_eq!(mask.shape(), &[batch, len, len]);
-        let _timing = ATTN_TIMER.start_with((batch * len) as u64);
+        debug_assert_eq!(mask.shape(), &[batch, q_len, len]);
+        let _timing = ATTN_TIMER.start_with((batch * q_len) as u64);
         let mask_var = ctx.tape.constant(mask.clone());
         let scale = 1.0 / (self.dh as f32).sqrt();
 
         let mut out: Option<Var> = None;
         for h in 0..self.heads {
-            let q = ops::matmul(x, &self.wq[h].leaf(&ctx.tape));
+            let q = ops::matmul(q_x, &self.wq[h].leaf(&ctx.tape));
             let k = ops::matmul(x, &self.wk[h].leaf(&ctx.tape));
             let v = ops::matmul(x, &self.wv[h].leaf(&ctx.tape));
-            let q3 = ops::reshape(&q, &[batch, len, self.dh]);
+            let q3 = ops::reshape(&q, &[batch, q_len, self.dh]);
             let k3 = ops::reshape(&k, &[batch, len, self.dh]);
             let v3 = ops::reshape(&v, &[batch, len, self.dh]);
 
@@ -132,8 +153,8 @@ impl MultiHeadSelfAttention {
             let attn = fused::softmax_lastdim(&masked);
             let attn = dropout(ctx, &attn, attn_dropout);
 
-            let ctx_h = ops::bmm(&attn, &v3); // [B, T, dh]
-            let flat = ops::reshape(&ctx_h, &[batch * len, self.dh]);
+            let ctx_h = ops::bmm(&attn, &v3); // [B, Q, dh]
+            let flat = ops::reshape(&ctx_h, &[batch * q_len, self.dh]);
             let proj = ops::matmul(&flat, &self.wo[h].leaf(&ctx.tape));
             out = Some(match out {
                 Some(acc) => ops::add(&acc, &proj),
@@ -183,10 +204,37 @@ impl TransformerBlock {
     /// Applies the block to `x: [B·T, d]`.
     pub fn forward(&self, ctx: &mut Ctx, x: &Var, batch: usize, len: usize, mask: &Tensor) -> Var {
         let a = self.attn.forward(ctx, x, batch, len, mask, self.dropout_p);
-        let a = dropout(ctx, &a, self.dropout_p);
+        self.residual_ffn(ctx, x, &a)
+    }
+
+    /// The block's output for the newest position of each sequence only,
+    /// `[B, d]`: keys and values span all of `x: [B·T, d]`, while the
+    /// query, both layer norms and the feed-forward run on rows `b·T + T−1`.
+    /// `last` lists those rows and `mask_last: [B, 1, T]` holds row `T−1`
+    /// of each mask square.
+    fn forward_last(
+        &self,
+        ctx: &mut Ctx,
+        x: &Var,
+        batch: usize,
+        len: usize,
+        last: &[usize],
+        mask_last: &Tensor,
+    ) -> Var {
+        let x_last = ops::index_select_rows(x, last);
+        let a = self
+            .attn
+            .attend(ctx, &x_last, x, batch, len, mask_last, self.dropout_p);
+        self.residual_ffn(ctx, &x_last, &a)
+    }
+
+    /// Post-LN residual around the attention output `a`, then the
+    /// position-wise feed-forward; row-wise over `x` and `a`.
+    fn residual_ffn(&self, ctx: &mut Ctx, x: &Var, a: &Var) -> Var {
+        let a = dropout(ctx, a, self.dropout_p);
         let s = self.ln1.forward(ctx, &ops::add(x, &a));
 
-        let _timing = FFN_TIMER.start_with((batch * len) as u64);
+        let _timing = FFN_TIMER.start_with(x.shape()[0] as u64);
         let f = self.ffn1.forward(ctx, &s);
         let f = ops::relu(&f);
         let f = dropout(ctx, &f, self.dropout_p);
@@ -235,6 +283,37 @@ impl TransformerEncoder {
             h = block.forward(ctx, &h, batch, len, mask);
         }
         h
+    }
+
+    /// [`Self::forward`]'s rows `b·T + T−1` — the newest position of each
+    /// sequence — as `[B, d]`, bitwise equal to gathering them from the
+    /// full output. Every block but the last runs as in `forward`, since
+    /// the last block's keys and values need all positions; the last block
+    /// computes its query, attention, layer norms and feed-forward for the
+    /// newest rows only. Every one of those stages is row-wise, and each
+    /// GEMM row keeps its accumulation order whatever the row count.
+    pub fn forward_last(
+        &self,
+        ctx: &mut Ctx,
+        x: &Var,
+        batch: usize,
+        len: usize,
+        mask: &Tensor,
+    ) -> Var {
+        let last: Vec<usize> = (0..batch).map(|b| b * len + len - 1).collect();
+        let Some((final_block, blocks)) = self.blocks.split_last() else {
+            return ops::index_select_rows(x, &last);
+        };
+        let mut h = x.clone();
+        for block in blocks {
+            h = block.forward(ctx, &h, batch, len, mask);
+        }
+        // Row `T−1` of each `[T, T]` mask square: the newest query's mask.
+        let mask_last = mask
+            .reshape(&[batch * len, len])
+            .index_select_rows(&last)
+            .reshape(&[batch, 1, len]);
+        final_block.forward_last(ctx, &h, batch, len, &last, &mask_last)
     }
 }
 
@@ -320,6 +399,47 @@ mod tests {
             delta > 1e-6,
             "bidirectional attention should see the future"
         );
+    }
+
+    /// `forward_last` must reproduce the newest row of each sequence of
+    /// the full forward bit for bit: heads 1/2/4, one and two blocks,
+    /// batch sizes 1 and 5, and left padding from none to a fully padded
+    /// sequence.
+    #[test]
+    fn forward_last_matches_last_rows_of_forward_bitwise() {
+        let (d, t) = (8, 6);
+        for heads in [1, 2, 4] {
+            for layers in [1, 2] {
+                let mut rng = SeedRng::seed(40 + heads as u64);
+                let enc = TransformerEncoder::new("enc", layers, d, heads, 0.1, &mut rng);
+                // Valid positions per sequence; the rest are left padding.
+                for valid in [&[3usize][..], &[0, 1, 4, t, 2]] {
+                    let b = valid.len();
+                    let pad: Vec<bool> = valid
+                        .iter()
+                        .flat_map(|&v| (0..t).map(move |p| p < t - v))
+                        .collect();
+                    let mask = attention_mask(b, t, &pad, true);
+                    let x = uniform(&[b * t, d], -1.0, 1.0, &mut rng);
+                    let mut ctx = Ctx::eval();
+                    let xv = ctx.tape.leaf(x);
+                    let full = enc.forward(&mut ctx, &xv, b, t, &mask).value();
+                    let last = enc.forward_last(&mut ctx, &xv, b, t, &mask).value();
+                    assert_eq!(last.shape(), &[b, d]);
+                    for bi in 0..b {
+                        let want = &full.data()[(bi * t + t - 1) * d..(bi * t + t) * d];
+                        let got = &last.data()[bi * d..(bi + 1) * d];
+                        assert!(
+                            got.iter()
+                                .zip(want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "heads={heads} layers={layers} valid={valid:?} row {bi}: \
+                             {got:?} != {want:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
