@@ -572,6 +572,8 @@ run_chaos() {
     #      a per-request deadline — every
     #      request must end in a typed response before its deadline and the
     #      engine must recover (no lingering degraded mode, no deadlock);
+    #      `isrec serve` itself fails the run if the engine's requests /
+    #      shed / timed_out counters differ from the callers' outcomes;
     #   3. fault-free rerun → scores_crc bitwise identical to the baseline
     #      (the resilience layer must be invisible when nothing fails).
     local work

@@ -32,11 +32,16 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::{hooks_snapshot, lock_tolerant, registry, Histogram};
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
+
+/// Wall-clock budget for one connection, from accept to the last byte
+/// written. Connections are served one at a time, so this is also the
+/// longest a slow or hostile client can delay every other scrape.
+const CONN_BUDGET: Duration = Duration::from_secs(2);
 
 /// True once a scrape endpoint has started in this process.
 #[inline]
@@ -96,17 +101,29 @@ fn accept_loop(listener: TcpListener) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         // One request per connection; a slow or hostile client costs at
-        // most the read timeout, never a wedge.
+        // most `CONN_BUDGET`, never a wedge.
         let _ = handle_conn(stream);
     }
 }
 
+/// What is left of a connection's budget, as a socket timeout; `TimedOut`
+/// once it has run out (a zero timeout is not a valid socket timeout).
+fn time_left(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(std::io::ErrorKind::TimedOut.into());
+    }
+    Ok(left)
+}
+
 fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + CONN_BUDGET;
     let mut buf = [0u8; 4096];
     let mut len = 0usize;
     while len < buf.len() {
+        // A socket timeout bounds one read, not the connection: each read
+        // gets only what is left, so trickled bytes cannot stretch it.
+        stream.set_read_timeout(Some(time_left(deadline)?))?;
         let n = stream.read(&mut buf[len..])?;
         if n == 0 {
             break;
@@ -133,8 +150,13 @@ fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    let mut rest = response.as_bytes();
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
+        let n = stream.write(rest)?;
+        rest = &rest[n..];
+    }
+    Ok(())
 }
 
 fn route(method: &str, path: &str) -> (u16, &'static str, String) {

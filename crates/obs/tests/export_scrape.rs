@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -157,4 +158,34 @@ fn healthz_and_unknown_routes_answer() {
 
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
+}
+
+#[test]
+fn a_trickling_client_cannot_stall_a_concurrent_scrape() {
+    let _g = serial();
+    let addr = ist_obs::export::start("127.0.0.1:0").expect("bind scrape endpoint");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // Sends a request head one byte every 300 ms and never finishes it.
+        scope.spawn(|| {
+            let mut slow = TcpStream::connect(addr).expect("connect scrape endpoint");
+            for byte in b"GET /metrics HTTP/1.1\r\nHost: trickle\r\n" {
+                if stop.load(Ordering::Relaxed) || slow.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        // Let the endpoint pick up the trickler first.
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        let (status, _) = get(addr, "/metrics");
+        let waited = t0.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(status, 200);
+        assert!(
+            waited < Duration::from_millis(2500),
+            "a concurrent scrape waited {waited:?} behind a trickling client"
+        );
+    });
 }

@@ -20,7 +20,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,7 +35,7 @@ use ist_tensor::Tensor;
 use crate::cache::ReprCache;
 use crate::error::ServeError;
 use crate::fallback::FallbackRanker;
-use crate::resilience::{BatchFault, ServeFaultPlan};
+use crate::resilience::ServeFaultPlan;
 use crate::slo::{self, SloConfig, SloMonitor, SloSnapshot};
 use crate::topk::top_k;
 
@@ -196,7 +196,9 @@ pub struct ServeResponse {
 /// A point-in-time view of the engine's counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// Requests scored (model batches + degraded fallback).
+    /// Delivered responses: requests answered by the model or by the
+    /// degraded fallback. A failed request counts under its error's kind
+    /// (`shed`, `timed_out`) or not at all, never here.
     pub requests: u64,
     /// Forward passes run.
     pub batches: u64,
@@ -245,64 +247,127 @@ impl EngineStats {
     }
 }
 
-/// One-shot response slot: the scorer fills it, the caller waits on it.
-///
-/// `canceled` arbitrates the timeout/shed race: whichever side first wins
-/// `cancel()` owns the request's fate (and its counter increment), so a
-/// request is never double-counted as both timed out and shed.
+/// What a request ends in: an answer or a typed error.
+type Outcome<T> = Result<T, ServeError>;
+
+/// A response slot's life. [`Slot::settle`] is its one transition out of
+/// `Pending`; the caller then takes the outcome exactly once.
+enum State<T> {
+    Pending,
+    Settled(Outcome<T>),
+    Taken,
+}
+
+/// One-shot response slot shared by a caller and whichever engine thread
+/// answers it.
 struct Slot<T> {
-    cell: Mutex<Option<Result<T, ServeError>>>,
+    state: Mutex<State<T>>,
     ready: Condvar,
-    canceled: AtomicBool,
 }
 
 impl<T> Slot<T> {
     fn new() -> Slot<T> {
         Slot {
-            cell: Mutex::new(None),
+            state: Mutex::new(State::Pending),
             ready: Condvar::new(),
-            canceled: AtomicBool::new(false),
         }
     }
 
-    fn fill(&self, result: Result<T, ServeError>) {
-        let mut cell = self.cell.lock().unwrap_or_else(|p| p.into_inner());
-        *cell = Some(result);
-        self.ready.notify_all();
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Blocks until filled, or until `deadline` passes (`None` return).
-    /// `deadline: None` waits forever.
-    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<T, ServeError>> {
-        let mut cell = self.cell.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(result) = cell.take() {
-                return Some(result);
+    /// The only write into a slot: `Pending → Settled(outcome)`. The first
+    /// call wins; a later one drops its outcome and returns false. `on_win`
+    /// runs under the slot lock before the caller is woken, so a caller
+    /// that wakes to this outcome already sees its effects.
+    fn settle(&self, outcome: Outcome<T>, on_win: impl FnOnce(&Outcome<T>)) -> bool {
+        let mut state = self.lock();
+        if !matches!(*state, State::Pending) {
+            return false;
+        }
+        on_win(&outcome);
+        *state = State::Settled(outcome);
+        self.ready.notify_all();
+        true
+    }
+
+    fn is_pending(&self) -> bool {
+        matches!(*self.lock(), State::Pending)
+    }
+
+    /// Waits until the slot is settled and takes its outcome; `None` once
+    /// `deadline` passes with the slot still pending. `deadline: None`
+    /// waits forever.
+    fn take(&self, deadline: Option<Instant>) -> Option<Outcome<T>> {
+        let pending = |state: &mut State<T>| matches!(state, State::Pending);
+        let mut state = match deadline {
+            None => self
+                .ready
+                .wait_while(self.lock(), pending)
+                .unwrap_or_else(|p| p.into_inner()),
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                let waited = self.ready.wait_timeout_while(self.lock(), left, pending);
+                waited.unwrap_or_else(|p| p.into_inner()).0
             }
-            match deadline {
-                None => cell = self.ready.wait(cell).unwrap_or_else(|p| p.into_inner()),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    let (guard, _) = self
-                        .ready
-                        .wait_timeout(cell, d - now)
-                        .unwrap_or_else(|p| p.into_inner());
-                    cell = guard;
+        };
+        match std::mem::replace(&mut *state, State::Taken) {
+            State::Settled(out) => Some(out),
+            other => {
+                *state = other;
+                None
+            }
+        }
+    }
+}
+
+impl Slot<ServeResponse> {
+    /// Settles a score request. A winning settle, and nothing else, counts
+    /// the outcome in `tally` and marks the trace context filled.
+    fn settle_score(
+        &self,
+        tally: &Tally,
+        ctx: Option<&ReqCtx>,
+        outcome: Outcome<ServeResponse>,
+    ) -> bool {
+        self.settle(outcome, |out| {
+            tally.count(out);
+            if let Some(c) = ctx {
+                c.mark_filled();
+            }
+        })
+    }
+}
+
+/// Per-engine outcome counts, each paired with its `ist_obs` twin. Only a
+/// winning [`Slot::settle_score`] writes them, so each request counts once.
+#[derive(Default)]
+struct Tally {
+    /// Delivered responses, model or fallback.
+    requests: AtomicU64,
+    degraded_served: AtomicU64,
+    shed: AtomicU64,
+    timed_out: AtomicU64,
+}
+
+impl Tally {
+    fn count(&self, outcome: &Outcome<ServeResponse>) {
+        let bump = |n: &AtomicU64, twin: &'static ist_obs::Counter| {
+            n.fetch_add(1, Ordering::Relaxed);
+            twin.inc();
+        };
+        match outcome {
+            Ok(resp) => {
+                self.requests.fetch_add(1, Ordering::Relaxed);
+                if resp.degraded {
+                    bump(&self.degraded_served, &DEGRADED_SERVED);
                 }
             }
+            Err(ServeError::Shed) => bump(&self.shed, &SHED),
+            Err(ServeError::DeadlineExceeded { .. }) => bump(&self.timed_out, &TIMED_OUT),
+            Err(_) => {}
         }
-    }
-
-    /// Claims the request: true for the first caller only.
-    fn cancel(&self) -> bool {
-        !self.canceled.swap(true, Ordering::Relaxed)
-    }
-
-    fn is_canceled(&self) -> bool {
-        self.canceled.load(Ordering::Relaxed)
     }
 }
 
@@ -323,6 +388,16 @@ struct QueuedScore {
     /// Per-request trace context (None when observability is inactive —
     /// the whole pipeline then skips every stage probe).
     ctx: Option<Arc<ReqCtx>>,
+    /// When the batcher popped this request off the queue — the boundary
+    /// between its queue-wait and batch-assembly stages. Only taken when
+    /// traced.
+    popped: Option<Instant>,
+}
+
+impl QueuedScore {
+    fn settle(&self, tally: &Tally, outcome: Outcome<ServeResponse>) -> bool {
+        self.slot.settle_score(tally, self.ctx.as_deref(), outcome)
+    }
 }
 
 /// Shed priority: the request whose deadline (or, lacking one, admission
@@ -336,6 +411,22 @@ enum Job {
     Reload { slot: Arc<Slot<Option<u64>>> },
 }
 
+impl Job {
+    /// Answers a job refused at admission, shed, or drained on shutdown.
+    fn fail(&self, tally: &Tally, err: ServeError) {
+        match self {
+            Job::Score(js) => js.settle(tally, Err(err)),
+            Job::Reload { slot } => slot.settle(Err(err), |_| {}),
+        };
+    }
+}
+
+/// What [`QueueState::pop`] hands back: overdue requests, and a reload.
+type Popped = (Vec<QueuedScore>, Option<Arc<Slot<Option<u64>>>>);
+
+/// The admission queue. Its methods are the decisions taken under the
+/// queue lock; they never settle a slot themselves, but hand back the
+/// requests their caller must settle.
 struct QueueState {
     jobs: VecDeque<Job>,
     /// Number of `Job::Score` entries in `jobs` (reload jobs are control
@@ -345,30 +436,109 @@ struct QueueState {
 }
 
 impl QueueState {
-    fn pop_job(&mut self) -> Option<Job> {
-        let job = self.jobs.pop_front();
-        if matches!(job, Some(Job::Score(_))) {
-            self.score_len -= 1;
+    /// Admission control: refuses on shutdown; when the bounded queue is
+    /// full, sheds the queued request with the oldest deadline — the
+    /// newcomer itself when its deadline is the soonest. Reload jobs are
+    /// control plane and never count against `cap`. Returns the refused or
+    /// shed job with its error.
+    fn admit(&mut self, job: Job, cap: usize) -> Option<(Job, ServeError)> {
+        if self.shutdown {
+            return Some((job, ServeError::Shutdown));
         }
-        job
+        let mut shed = None;
+        if let Job::Score(js) = &job {
+            if cap > 0 && self.score_len >= cap {
+                // A request whose caller already settled it sorts first:
+                // evicting it sheds no one.
+                let victim = self
+                    .jobs
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, job)| match job {
+                        Job::Score(s) => Some(((s.slot.is_pending(), shed_key(s)), i)),
+                        Job::Reload { .. } => None,
+                    })
+                    .min();
+                match victim {
+                    Some(((false, _), i)) => drop(self.jobs.remove(i)),
+                    Some(((_, key), i)) if key <= shed_key(js) => {
+                        shed = self.jobs.remove(i).map(|v| (v, ServeError::Shed));
+                    }
+                    _ => return Some((job, ServeError::Shed)),
+                }
+                self.score_len -= 1;
+            }
+            self.score_len += 1;
+        }
+        self.jobs.push_back(job);
+        shed
+    }
+
+    /// Pop and expire: moves score jobs off the front into `batch` until
+    /// it holds `max_batch` or a reload is next, and pops that reload if
+    /// the batch is still empty. Drops jobs whose caller already settled
+    /// them. Returns the jobs overdue at `now`, to be answered without
+    /// wasting a forward pass, and the popped reload.
+    #[must_use]
+    fn pop(&mut self, now: Instant, max_batch: usize, batch: &mut Vec<QueuedScore>) -> Popped {
+        let mut expired = Vec::new();
+        while batch.len() < max_batch {
+            let mut js = match self.jobs.pop_front() {
+                Some(Job::Score(js)) => js,
+                Some(Job::Reload { slot }) if batch.is_empty() => return (expired, Some(slot)),
+                Some(reload) => {
+                    self.jobs.push_front(reload);
+                    break;
+                }
+                None => break,
+            };
+            self.score_len -= 1;
+            if !js.slot.is_pending() {
+                continue;
+            }
+            if let Some(c) = &js.ctx {
+                c.record(Stage::Queue, now.saturating_duration_since(js.admitted));
+            }
+            if js.deadline.is_some_and(|d| now >= d) {
+                expired.push(js);
+                continue;
+            }
+            js.popped = js.ctx.is_some().then_some(now);
+            batch.push(js);
+        }
+        (expired, None)
+    }
+
+    /// The batch-window check: a batch of `len` runs once it is full, its
+    /// window has closed, the engine is shutting down, or a reload waits
+    /// behind it.
+    fn batch_ready(&self, len: usize, max_batch: usize, now: Instant, window: Instant) -> bool {
+        len >= max_batch
+            || now >= window
+            || self.shutdown
+            || matches!(self.jobs.front(), Some(Job::Reload { .. }))
+    }
+
+    /// Shutdown drain: empties the queue, handing back every job to be
+    /// answered `Shutdown`.
+    fn drain(&mut self) -> Vec<Job> {
+        self.score_len = 0;
+        self.jobs.drain(..).collect()
     }
 }
 
 struct Shared {
     queue: Mutex<QueueState>,
     cond: Condvar,
-    requests: AtomicU64,
+    tally: Tally,
     batches: AtomicU64,
     max_batch: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     reloads: AtomicU64,
     epoch: AtomicU64,
-    shed: AtomicU64,
-    timed_out: AtomicU64,
     scorer_panics: AtomicU64,
     respawns: AtomicU64,
-    degraded_served: AtomicU64,
     reload_skipped: AtomicU64,
     degraded: AtomicBool,
     /// Admission sequence numbers (shed/expiry tiebreaker).
@@ -402,18 +572,15 @@ impl Shared {
                 shutdown: false,
             }),
             cond: Condvar::new(),
-            requests: AtomicU64::new(0),
+            tally: Tally::default(),
             batches: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
             epoch: AtomicU64::new(NO_EPOCH),
-            shed: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
             scorer_panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
-            degraded_served: AtomicU64::new(0),
             reload_skipped: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             seq: AtomicU64::new(0),
@@ -425,7 +592,7 @@ impl Shared {
         }
     }
 
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, QueueState> {
+    fn lock_queue(&self) -> MutexGuard<'_, QueueState> {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
@@ -565,30 +732,29 @@ impl ScoreEngine {
         }
         let deadline = budget.map(|b| start + b);
         let slot = Arc::new(Slot::new());
-        self.enqueue_score(QueuedScore {
-            history: history.to_vec(),
-            k,
-            budget,
-            deadline,
-            admitted: start,
-            seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
-            slot: Arc::clone(&slot),
-            ctx: ctx.clone(),
-        })?;
-        let out = match slot.wait_until(deadline) {
-            Some(result) => result,
-            None => {
-                // Caller-side expiry: whoever wins the cancel owns the
-                // timed_out increment (the batcher may be racing us).
-                if slot.cancel() {
-                    self.shared.timed_out.fetch_add(1, Ordering::Relaxed);
-                    TIMED_OUT.inc();
-                }
-                Err(ServeError::DeadlineExceeded {
-                    budget: budget.unwrap_or_default(),
-                })
-            }
-        };
+        admit(
+            &self.shared,
+            self.cfg.queue_cap,
+            Job::Score(QueuedScore {
+                history: history.to_vec(),
+                k,
+                budget,
+                deadline,
+                admitted: start,
+                seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
+                slot: Arc::clone(&slot),
+                ctx: ctx.clone(),
+                popped: None,
+            }),
+        );
+        let out = slot.take(deadline).unwrap_or_else(|| {
+            // The wait timed out. The batcher may be settling this request
+            // right now: if its answer wins, the caller takes that answer.
+            let budget = budget.unwrap_or_default();
+            let expired = Err(ServeError::DeadlineExceeded { budget });
+            slot.settle_score(&self.shared.tally, ctx.as_deref(), expired);
+            slot.take(None).unwrap_or(Err(ServeError::Shutdown))
+        });
         if let Ok(resp) = &out {
             span.add_field("items", resp.items.len());
             span.add_field("degraded", resp.degraded as u64);
@@ -614,103 +780,29 @@ impl ScoreEngine {
     /// epoch now serving.
     pub fn reload(&self) -> Result<Option<u64>, ServeError> {
         let slot = Arc::new(Slot::new());
-        self.enqueue_reload(Arc::clone(&slot))?;
-        slot.wait_until(None).unwrap_or(Err(ServeError::Shutdown))
+        admit(&self.shared, 0, Job::Reload { slot: slot.clone() });
+        slot.take(None).unwrap_or(Err(ServeError::Shutdown))
     }
 
     /// Current counters.
     pub fn stats(&self) -> EngineStats {
         let epoch = self.shared.epoch.load(Ordering::Relaxed);
         EngineStats {
-            requests: self.shared.requests.load(Ordering::Relaxed),
+            requests: self.shared.tally.requests.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed),
             max_batch: self.shared.max_batch.load(Ordering::Relaxed),
             cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.shared.cache_misses.load(Ordering::Relaxed),
             reloads: self.shared.reloads.load(Ordering::Relaxed),
             epoch: (epoch != NO_EPOCH).then_some(epoch),
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            timed_out: self.shared.timed_out.load(Ordering::Relaxed),
+            shed: self.shared.tally.shed.load(Ordering::Relaxed),
+            timed_out: self.shared.tally.timed_out.load(Ordering::Relaxed),
             scorer_panics: self.shared.scorer_panics.load(Ordering::Relaxed),
             respawns: self.shared.respawns.load(Ordering::Relaxed),
-            degraded_served: self.shared.degraded_served.load(Ordering::Relaxed),
+            degraded_served: self.shared.tally.degraded_served.load(Ordering::Relaxed),
             reload_skipped: self.shared.reload_skipped.load(Ordering::Relaxed),
             degraded: self.shared.degraded.load(Ordering::Relaxed),
         }
-    }
-
-    /// Admission control: refuses on shutdown, sheds oldest-deadline-first
-    /// when the bounded queue is full (the newcomer itself is the victim
-    /// when its deadline is the soonest).
-    fn enqueue_score(&self, js: QueuedScore) -> Result<(), ServeError> {
-        let shared = &self.shared;
-        let mut q = shared.lock_queue();
-        if q.shutdown {
-            return Err(ServeError::Shutdown);
-        }
-        let cap = self.cfg.queue_cap;
-        if cap > 0 && q.score_len >= cap {
-            // Prefer evicting a request whose caller already gave up —
-            // that frees a slot without shedding anyone.
-            let dead = q
-                .jobs
-                .iter()
-                .position(|job| matches!(job, Job::Score(s) if s.slot.is_canceled()));
-            if let Some(i) = dead {
-                q.jobs.remove(i);
-                q.score_len -= 1;
-            } else {
-                let new_key = shed_key(&js);
-                let victim = q
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, job)| match job {
-                        Job::Score(s) => Some((i, shed_key(s))),
-                        Job::Reload { .. } => None,
-                    })
-                    .min_by_key(|&(_, key)| key);
-                match victim {
-                    Some((i, key)) if key <= new_key => {
-                        let Some(Job::Score(v)) = q.jobs.remove(i) else {
-                            unreachable!("victim index held a Score job");
-                        };
-                        q.score_len -= 1;
-                        // Queue → slot is the global lock order, so filling
-                        // under the queue lock is deadlock-free.
-                        if v.slot.cancel() {
-                            shared.shed.fetch_add(1, Ordering::Relaxed);
-                            SHED.inc();
-                            v.slot.fill(Err(ServeError::Shed));
-                        }
-                    }
-                    _ => {
-                        // The newcomer has the soonest deadline: shed it.
-                        drop(q);
-                        shared.shed.fetch_add(1, Ordering::Relaxed);
-                        SHED.inc();
-                        return Err(ServeError::Shed);
-                    }
-                }
-            }
-        }
-        q.score_len += 1;
-        q.jobs.push_back(Job::Score(js));
-        QUEUE_DEPTH.set(q.score_len as u64);
-        drop(q);
-        shared.cond.notify_all();
-        Ok(())
-    }
-
-    fn enqueue_reload(&self, slot: Arc<Slot<Option<u64>>>) -> Result<(), ServeError> {
-        let mut q = self.shared.lock_queue();
-        if q.shutdown {
-            return Err(ServeError::Shutdown);
-        }
-        q.jobs.push_back(Job::Reload { slot });
-        drop(q);
-        self.shared.cond.notify_all();
-        Ok(())
     }
 
     fn join_worker(&mut self) {
@@ -730,6 +822,19 @@ impl Drop for ScoreEngine {
         self.join_worker();
         ist_obs::export::clear_health_provider();
         slo::uninstall(&self.shared.slo);
+    }
+}
+
+/// Queues a job and answers whichever job admission refused or shed (see
+/// [`QueueState::admit`]).
+fn admit(shared: &Shared, cap: usize, job: Job) {
+    let mut q = shared.lock_queue();
+    let refused = q.admit(job, cap);
+    QUEUE_DEPTH.set(q.score_len as u64);
+    drop(q);
+    shared.cond.notify_all();
+    if let Some((job, err)) = refused {
+        job.fail(&shared.tally, err);
     }
 }
 
@@ -900,43 +1005,23 @@ fn degraded_loop<'scope, 'env>(
          (degraded) until a reload succeeds"
     );
     loop {
-        let job = {
-            let mut q = shared.lock_queue();
-            loop {
-                match q.pop_job() {
-                    Some(job) => break Some(job),
-                    None if q.shutdown => break None,
-                    None => q = shared.cond.wait(q).unwrap_or_else(|p| p.into_inner()),
-                }
-            }
-        };
-        let Some(job) = job else {
-            // Shutdown with an already-empty queue: nothing to drain.
-            return None;
-        };
-        match job {
-            Job::Score(js) => {
-                let Some(req) = expire_or_admit(shared, js) else {
-                    continue;
-                };
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                shared.degraded_served.fetch_add(1, Ordering::Relaxed);
-                DEGRADED_SERVED.inc();
-                let result = shared
-                    .fallback
-                    .rank(&req.history, req.k)
-                    .map(|items| ServeResponse {
+        match next_work(shared, 1, Duration::ZERO) {
+            Work::Quit => return None,
+            Work::Batch(batch) => {
+                for js in batch {
+                    if let Some(c) = &js.ctx {
+                        // Fallback answers are unbatched.
+                        c.set_batch_info(false, 1);
+                    }
+                    let answer = shared.fallback.rank(&js.history, js.k);
+                    let answer = answer.map(|items| ServeResponse {
                         items,
                         degraded: true,
                     });
-                if let Some(c) = &req.ctx {
-                    // Fallback answers are unbatched.
-                    c.set_batch_info(false, 1);
-                    c.mark_filled();
+                    js.settle(&shared.tally, answer);
                 }
-                req.slot.fill(result);
             }
-            Job::Reload { slot } => {
+            Work::Reload(slot) => {
                 *incarnation += 1;
                 match spawn_scorer(scope, spec, cfg, shared, *incarnation) {
                     Ok(handle) => {
@@ -944,13 +1029,12 @@ fn degraded_loop<'scope, 'env>(
                         DEGRADED.set(0);
                         shared.reloads.fetch_add(1, Ordering::Relaxed);
                         let epoch = shared.epoch.load(Ordering::Relaxed);
-                        slot.fill(Ok((epoch != NO_EPOCH).then_some(epoch)));
+                        slot.settle(Ok((epoch != NO_EPOCH).then_some(epoch)), |_| {});
                         return Some(handle);
                     }
                     Err(e) => {
-                        slot.fill(Err(ServeError::Internal(format!(
-                            "reload failed, engine still degraded: {e}"
-                        ))));
+                        let why = format!("reload failed, engine still degraded: {e}");
+                        slot.settle(Err(ServeError::Internal(why)), |_| {});
                     }
                 }
             }
@@ -961,17 +1045,9 @@ fn degraded_loop<'scope, 'env>(
 /// Answers every queued job with [`ServeError::Shutdown`] so no caller is
 /// left blocked when the engine dies mid-panic-recovery.
 fn drain_queue_on_shutdown(shared: &Shared) {
-    loop {
-        let job = shared.lock_queue().pop_job();
-        let Some(job) = job else { return };
-        match job {
-            Job::Score(js) => {
-                if js.slot.cancel() {
-                    js.slot.fill(Err(ServeError::Shutdown));
-                }
-            }
-            Job::Reload { slot } => slot.fill(Err(ServeError::Shutdown)),
-        }
+    let jobs = shared.lock_queue().drain();
+    for job in jobs {
+        job.fail(&shared.tally, ServeError::Shutdown);
     }
 }
 
@@ -990,16 +1066,8 @@ fn load_weights(
     newer_than: Option<u64>,
     shared: &Shared,
 ) -> Result<Option<u64>, String> {
-    if shared.faults_active.load(Ordering::Relaxed) {
-        let mut plan = shared.faults.lock().unwrap_or_else(|p| p.into_inner());
-        let corrupt = plan.take_corrupt_reload();
-        if plan.is_empty() {
-            shared.faults_active.store(false, Ordering::Relaxed);
-        }
-        drop(plan);
-        if corrupt {
-            return Err("fault injection: weight load treated as corrupt".into());
-        }
+    if take_fault(shared, ServeFaultPlan::take_corrupt_reload) {
+        return Err("fault injection: weight load treated as corrupt".into());
     }
     let params = model.params();
     match source {
@@ -1028,114 +1096,54 @@ fn load_weights(
     }
 }
 
-/// An admitted request, ready to score.
-struct ScoreReq {
-    history: Vec<usize>,
-    k: usize,
-    slot: Arc<Slot<ServeResponse>>,
-    /// Trace context (None when observability is off).
-    ctx: Option<Arc<ReqCtx>>,
-    /// When the batcher popped this request off the queue — the boundary
-    /// between its queue-wait and batch-assembly stages. Only taken when
-    /// traced.
-    popped: Option<Instant>,
-}
-
-/// Pop-time admission: skips requests whose caller already gave up, and
-/// answers queue-expired deadlines right here — an expired request never
-/// wastes a forward pass.
-fn expire_or_admit(shared: &Shared, js: QueuedScore) -> Option<ScoreReq> {
-    if js.slot.is_canceled() {
-        return None;
-    }
-    let now = Instant::now();
-    if let Some(c) = &js.ctx {
-        c.record(Stage::Queue, now.saturating_duration_since(js.admitted));
-    }
-    if let Some(d) = js.deadline {
-        if now >= d {
-            if js.slot.cancel() {
-                shared.timed_out.fetch_add(1, Ordering::Relaxed);
-                TIMED_OUT.inc();
-                if let Some(c) = &js.ctx {
-                    c.mark_filled();
-                }
-                js.slot.fill(Err(ServeError::DeadlineExceeded {
-                    budget: js.budget.unwrap_or_default(),
-                }));
-            }
-            return None;
-        }
-    }
-    let popped = js.ctx.is_some().then_some(now);
-    Some(ScoreReq {
-        history: js.history,
-        k: js.k,
-        slot: js.slot,
-        ctx: js.ctx,
-        popped,
-    })
-}
-
 enum Work {
-    Batch(Vec<ScoreReq>),
+    Batch(Vec<QueuedScore>),
     Reload(Arc<Slot<Option<u64>>>),
     Quit,
 }
 
-/// Blocks for the next unit of work, coalescing admitted requests into one
-/// batch: after the first request it waits up to `batch_timeout` for more,
-/// up to `max_batch`, stopping at a Reload so it runs between batches.
-fn next_work(shared: &Shared, cfg: &ServeConfig) -> Work {
+/// Blocks for the next unit of work: a reload, or a batch of admitted
+/// requests. After the first request it waits up to `batch_timeout` for
+/// more, up to `max_batch`, stopping at a reload so it runs between
+/// batches. Overdue requests are answered here, never scored. The schedule
+/// explorer (`engine/explore.rs`) replays this loop one step at a time.
+fn next_work(shared: &Shared, max_batch: usize, batch_timeout: Duration) -> Work {
+    let max_batch = max_batch.max(1);
+    let mut batch = Vec::new();
+    let mut window = None;
     let mut q = shared.lock_queue();
     loop {
-        match q.pop_job() {
-            Some(Job::Reload { slot }) => return Work::Reload(slot),
-            Some(Job::Score(js)) => {
-                let Some(first) = expire_or_admit(shared, js) else {
-                    continue;
-                };
-                let mut batch = vec![first];
-                let window = Instant::now() + cfg.batch_timeout;
-                loop {
-                    while batch.len() < cfg.max_batch
-                        && matches!(q.jobs.front(), Some(Job::Score(_)))
-                    {
-                        match q.pop_job() {
-                            Some(Job::Score(js)) => {
-                                if let Some(req) = expire_or_admit(shared, js) {
-                                    batch.push(req);
-                                }
-                            }
-                            _ => unreachable!("front was a Score job"),
-                        }
-                    }
-                    let now = Instant::now();
-                    if batch.len() >= cfg.max_batch
-                        || now >= window
-                        || q.shutdown
-                        || matches!(q.jobs.front(), Some(Job::Reload { .. }))
-                    {
-                        QUEUE_DEPTH.set(q.score_len as u64);
-                        for req in &batch {
-                            if let (Some(c), Some(p)) = (&req.ctx, req.popped) {
-                                c.record(Stage::Batch, p.elapsed());
-                            }
-                        }
-                        return Work::Batch(batch);
-                    }
-                    let (guard, _) = shared
-                        .cond
-                        .wait_timeout(q, window - now)
-                        .unwrap_or_else(|p| p.into_inner());
-                    q = guard;
+        let now = Instant::now();
+        let (expired, reload) = q.pop(now, max_batch, &mut batch);
+        for js in expired {
+            let budget = js.budget.unwrap_or_default();
+            js.settle(&shared.tally, Err(ServeError::DeadlineExceeded { budget }));
+        }
+        if let Some(slot) = reload {
+            return Work::Reload(slot);
+        }
+        if batch.is_empty() {
+            if q.shutdown {
+                return Work::Quit;
+            }
+            q = shared.cond.wait(q).unwrap_or_else(|p| p.into_inner());
+            continue;
+        }
+        let closes = *window.get_or_insert(now + batch_timeout);
+        if q.batch_ready(batch.len(), max_batch, now, closes) {
+            QUEUE_DEPTH.set(q.score_len as u64);
+            for js in &batch {
+                if let (Some(c), Some(p)) = (&js.ctx, js.popped) {
+                    c.record(Stage::Batch, p.elapsed());
                 }
             }
-            None if q.shutdown => return Work::Quit,
-            None => {
-                q = shared.cond.wait(q).unwrap_or_else(|p| p.into_inner());
-            }
+            return Work::Batch(batch);
         }
+        let (guard, _) = shared
+            .cond
+            .wait_timeout(q, closes - now)
+            .unwrap_or_else(|p| p.into_inner());
+        q = guard;
     }
 }
 
@@ -1187,7 +1195,7 @@ fn scorer_incarnation(
     let _ = ready_tx.send(Ok(()));
 
     loop {
-        match next_work(shared, cfg) {
+        match next_work(shared, cfg.max_batch, cfg.batch_timeout) {
             Work::Quit => return Exit::Shutdown,
             Work::Reload(slot) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1203,11 +1211,11 @@ fn scorer_incarnation(
                         if let Ok(Some(e)) = &result {
                             shared.epoch.store(*e, Ordering::Relaxed);
                         }
-                        slot.fill(result.map_err(ServeError::Internal));
+                        slot.settle(result.map_err(ServeError::Internal), |_| {});
                     }
                     Err(payload) => {
                         let why = panic_msg(payload.as_ref());
-                        slot.fill(Err(ServeError::ScorerPanic(why.clone())));
+                        slot.settle(Err(ServeError::ScorerPanic(why.clone())), |_| {});
                         return Exit::Panicked(why);
                     }
                 }
@@ -1221,11 +1229,8 @@ fn scorer_incarnation(
                     // gets a typed error; everyone still queued is served
                     // by the respawned incarnation.
                     let why = panic_msg(payload.as_ref());
-                    for req in &batch {
-                        if let Some(c) = &req.ctx {
-                            c.mark_filled();
-                        }
-                        req.slot.fill(Err(ServeError::ScorerPanic(why.clone())));
+                    for js in &batch {
+                        js.settle(&shared.tally, Err(ServeError::ScorerPanic(why.clone())));
                     }
                     return Exit::Panicked(why);
                 }
@@ -1265,18 +1270,18 @@ fn reload_model(
     }
 }
 
-/// Fetches the injected fault for the batch about to score. Fast path: one
+/// Advances one of the injected fault plan's ordinals. Fast path: one
 /// relaxed load once the plan has drained.
-fn take_batch_fault(shared: &Shared) -> Option<BatchFault> {
+fn take_fault<R: Default>(shared: &Shared, take: impl FnOnce(&mut ServeFaultPlan) -> R) -> R {
     if !shared.faults_active.load(Ordering::Relaxed) {
-        return None;
+        return R::default();
     }
     let mut plan = shared.faults.lock().unwrap_or_else(|p| p.into_inner());
-    let fault = plan.take_batch();
+    let fault = take(&mut plan);
     if plan.is_empty() {
         shared.faults_active.store(false, Ordering::Relaxed);
     }
-    (fault != BatchFault::default()).then_some(fault)
+    fault
 }
 
 fn process_batch(
@@ -1284,18 +1289,17 @@ fn process_batch(
     table_t: &Tensor,
     cache: &mut ReprCache,
     shared: &Shared,
-    batch: &[ScoreReq],
+    batch: &[QueuedScore],
 ) {
     // Fault injection fires before any cache mutation so a poisoned batch
     // leaves no half-written state behind.
-    if let Some(fault) = take_batch_fault(shared) {
-        if let Some(stall) = fault.slow {
-            eprintln!("fault injection: stalling batch {}ms", stall.as_millis());
-            std::thread::sleep(stall);
-        }
-        if fault.panic {
-            panic!("fault injection: scorer panic mid-batch");
-        }
+    let fault = take_fault(shared, ServeFaultPlan::take_batch);
+    if let Some(stall) = fault.slow {
+        eprintln!("fault injection: stalling batch {}ms", stall.as_millis());
+        std::thread::sleep(stall);
+    }
+    if fault.panic {
+        panic!("fault injection: scorer panic mid-batch");
     }
 
     let m = batch.len();
@@ -1363,9 +1367,8 @@ fn process_batch(
         }
     }
 
-    // Publish counters *before* filling any slot: a caller that wakes up
+    // Publish counters *before* settling any slot: a caller that wakes up
     // from its response must already see this batch in `stats()`.
-    shared.requests.fetch_add(m as u64, Ordering::Relaxed);
     shared.batches.fetch_add(1, Ordering::Relaxed);
     shared.max_batch.fetch_max(m as u64, Ordering::Relaxed);
     let (hits, misses) = cache.stats();
@@ -1387,12 +1390,8 @@ fn process_batch(
                 stacked.extend_from_slice(r);
             }
             None => {
-                if let Some(c) = &req.ctx {
-                    c.mark_filled();
-                }
-                req.slot.fill(Err(ServeError::Internal(
-                    "representation row unresolved after forward pass".into(),
-                )));
+                let why = "representation row unresolved after forward pass".to_string();
+                req.settle(&shared.tally, Err(ServeError::Internal(why)));
             }
         }
     }
@@ -1432,15 +1431,16 @@ fn process_batch(
         if let Some(c) = &req.ctx {
             c.record(Stage::Score, score_dur);
             c.record(Stage::Merge, merge_dur);
-            c.mark_filled();
         }
-        req.slot.fill(
-            items
-                .map(|items| ServeResponse {
-                    items,
-                    degraded: false,
-                })
-                .map_err(ServeError::Internal),
-        );
+        let answer = items
+            .map_err(ServeError::Internal)
+            .map(|items| ServeResponse {
+                items,
+                degraded: false,
+            });
+        req.settle(&shared.tally, answer);
     }
 }
+
+#[cfg(test)]
+mod explore;

@@ -123,6 +123,26 @@ fn deadline_is_enforced_under_a_slow_batch() {
 }
 
 #[test]
+fn a_deadline_inside_a_stalled_batch_counts_only_as_timed_out() {
+    let dir = tmpdir("deadline-once");
+    let engine = ScoreEngine::start(snapshot_spec(&dir, 7), serial_cfg("slow@batch1:300")).unwrap();
+    let ds = tiny_dataset();
+    let hurried =
+        engine.recommend_with_deadline(&ds.sequences[0][..4], 5, Duration::from_millis(60));
+    assert!(
+        matches!(hurried, Err(ServeError::DeadlineExceeded { .. })),
+        "{hurried:?}"
+    );
+    // The scorer runs this reload only after the stalled batch, whose late
+    // answer must lose to the caller's deadline.
+    engine.reload().unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.requests, 0, "{stats:?}");
+    assert_eq!(stats.timed_out, 1, "{stats:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn full_queue_sheds_the_oldest_request() {
     let dir = tmpdir("shed");
     let cfg = ServeConfig {
@@ -360,10 +380,16 @@ fn chaos_soak_answers_every_request_with_a_typed_result() {
             "unexpected outcome kind {kind}"
         );
     }
+    // Each outcome a caller saw is counted once, under its own kind.
+    let stats = engine.stats();
+    let count = |kind| outcomes.iter().filter(|&&k| k == kind).count() as u64;
+    assert_eq!(count("ok") + count("degraded"), stats.requests, "{stats:?}");
+    assert_eq!(count("degraded"), stats.degraded_served, "{stats:?}");
+    assert_eq!(count("shed"), stats.shed, "{stats:?}");
+    assert_eq!(count("deadline"), stats.timed_out, "{stats:?}");
     // The engine is still healthy after the storm…
     let seq = &ds.sequences[0];
     assert!(!engine.recommend(&seq[..4], 10).unwrap().degraded);
-    let stats = engine.stats();
     assert!(stats.scorer_panics >= 1, "{stats:?}");
     assert!(stats.respawns >= 1, "{stats:?}");
     // …and dropping it must not deadlock (implicit: test completes).

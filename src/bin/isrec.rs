@@ -358,7 +358,9 @@ fn cmd_graph_dump(args: &Args) -> Result<(), String> {
 /// `--deadline-ms N` sets a per-request deadline (0 disables; default from
 /// `IST_SERVE_DEADLINE_MS`). `--allow-errors 1` keeps the run alive when
 /// requests fail with typed errors (sheds, timeouts, scorer panics — the
-/// chaos gate's bread and butter) and reports them per kind instead.
+/// chaos gate's bread and butter) and reports them per kind instead. Either
+/// way the run fails if the engine's `requests`/`shed`/`timed_out`
+/// counters differ from the outcomes the callers got.
 /// `--report <path>` additionally writes the machine-readable
 /// `isrec.serve_report.v5` JSON consumed by the CI serve and chaos stages
 /// (latency/batch/cache/resilience blocks plus the SLO snapshot and
@@ -706,6 +708,24 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
         std::fs::write(path, json).map_err(|e| format!("write report {path}: {e}"))?;
         println!("report written to {path}");
+    }
+    // Exactly one outcome per request: the engine's per-kind counters must
+    // match what the callers got, whether or not errors are allowed.
+    let seen = |kind| error_kinds.get(kind).copied().unwrap_or(0);
+    let disagree: Vec<String> = [
+        ("requests", answered, stats.requests),
+        ("shed", seen("shed"), stats.shed),
+        ("timed_out", seen("deadline"), stats.timed_out),
+    ]
+    .iter()
+    .filter(|(_, callers, engine)| callers != engine)
+    .map(|(name, callers, engine)| format!("{name}: engine {engine}, callers {callers}"))
+    .collect();
+    if !disagree.is_empty() {
+        return Err(format!(
+            "engine counters disagree with the request outcomes ({})",
+            disagree.join("; ")
+        ));
     }
     // Grace window for external scrapers (the CI soak polls /metrics
     // until the last request lands): keep the engine + endpoint up.
