@@ -76,10 +76,9 @@ fn gflops(n: usize, ms: f64) -> f64 {
 }
 
 /// Runs the full suite: the serial reference, the cache-blocked kernel at
-/// **every SIMD dispatch level this host supports**, the optional FMA
-/// accumulate variant, and the pool-dispatched path across [`THREADS`]
-/// (at the detected best level) for every size in [`SIZES`]. The active
-/// dispatch level and FMA mode are restored on exit.
+/// **every SIMD dispatch level this host supports**, and the
+/// pool-dispatched path across [`THREADS`] (at the detected best level) for
+/// every size in [`SIZES`]. The active dispatch level is restored on exit.
 pub fn run_suite() -> Vec<BenchRow> {
     let mut rows: Vec<BenchRow> = Vec::new();
     let mut push =
@@ -97,7 +96,6 @@ pub fn run_suite() -> Vec<BenchRow> {
         };
 
     let prev_level = simd::level();
-    let prev_fma = simd::fma_mode();
     let best = simd::detected();
     for &n in &SIZES {
         let mut rng = SeedRng::seed(42);
@@ -122,19 +120,7 @@ pub fn run_suite() -> Vec<BenchRow> {
             push("blocked", n, 1, level.name(), ms, iters);
         }
 
-        // The opt-in fused-accumulate variant, measured at the best level
-        // when the hardware has FMA (different rounding — reported, never
-        // part of determinism gates).
         simd::set_level(best);
-        if simd::set_fma(true) {
-            let (ms, iters) = time_ms(|| {
-                out.iter_mut().for_each(|v| *v = 0.0);
-                gemm_blocked(a.data(), b.data(), &mut out, n, n, n);
-            });
-            push("blocked_fma", n, 1, best.name(), ms, iters);
-        }
-        simd::set_fma(false);
-
         for &t in &THREADS {
             let pool = ThreadPool::new(t);
             let (ms, iters) = time_ms(|| {
@@ -144,7 +130,6 @@ pub fn run_suite() -> Vec<BenchRow> {
         }
     }
     simd::set_level(prev_level);
-    simd::set_fma(prev_fma);
     rows
 }
 
@@ -177,11 +162,9 @@ pub fn cpu_to_json() -> String {
         .map(|l| format!("\"{l}\""))
         .collect();
     format!(
-        "{{\"detected\": \"{}\", \"active\": \"{}\", \"fma_available\": {}, \
-         \"levels\": [{}]}}",
+        "{{\"detected\": \"{}\", \"active\": \"{}\", \"levels\": [{}]}}",
         simd::detected(),
         simd::level(),
-        simd::hardware_fma(simd::detected()),
         levels.join(", ")
     )
 }

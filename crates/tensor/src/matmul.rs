@@ -7,7 +7,9 @@
 //! buffers reach their high-water size) so the innermost loops stream over
 //! cache-resident memory, and processes four rows of `a` per pass through
 //! the runtime-dispatched SIMD micro-kernel ([`crate::simd::gemm_kernel`];
-//! bitwise identical output at every dispatch level). All-zero rows of `a`
+//! bitwise identical output at every dispatch level). Each panel's
+//! `n mod NR` tail columns are packed zero-padded to a full NR block, so
+//! they run the same SIMD tile as every other column. All-zero rows of `a`
 //! — padded sequence positions, which are common in this workload — are
 //! detected once and skipped. The unblocked `i-k-j` kernel
 //! ([`gemm_serial`]) is kept as the reference implementation for tests and
@@ -179,10 +181,12 @@ fn gemm_blocked_view(
         ws.row_zero
             .extend((0..m).map(|i| a[i * k..(i + 1) * k].iter().all(|&v| v == 0.0)));
 
-        // Panel layout: `nblocks` NR-wide column blocks, each stored as
-        // `[p][NR]` (depth-major), then one `tail`-wide block as
-        // `[p][tail]`. The micro-kernel then streams each block
-        // contiguously.
+        // Panel layout: NR-wide column blocks, each stored as `[p][NR]`
+        // (depth-major), so the micro-kernel streams each block
+        // contiguously. A partial last block (`tail < NR` columns) is
+        // zero-padded to NR and runs the same SIMD tile; only its `tail`
+        // real lanes are written back. Full blocks keep the fixed-width
+        // copy (the catalog product repacks a whole item table per call).
         let panel = &mut ws.panel[..NC * KC];
         for jj in (0..n).step_by(NC) {
             let nc = NC.min(n - jj);
@@ -198,10 +202,11 @@ fn gemm_blocked_view(
                     }
                 }
                 if tail > 0 {
-                    let dst = &mut panel[nblocks * kc * NR..];
-                    for p in 0..kc {
+                    let dst = &mut panel[nblocks * kc * NR..(nblocks + 1) * kc * NR];
+                    for (p, lanes) in dst.chunks_exact_mut(NR).enumerate() {
                         let col = (kk + p) * b_stride + b_col0 + jj + nblocks * NR;
-                        dst[p * tail..(p + 1) * tail].copy_from_slice(&b[col..col + tail]);
+                        lanes[..tail].copy_from_slice(&b[col..col + tail]);
+                        lanes[tail..].fill(0.0);
                     }
                 }
                 kernel.call(
@@ -216,8 +221,7 @@ fn gemm_blocked_view(
                         kk,
                         kc,
                         jj,
-                        nblocks,
-                        tail,
+                        nc,
                     },
                 );
             }

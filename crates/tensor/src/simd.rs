@@ -3,13 +3,17 @@
 //! Every f32 hot path in the workspace (the GEMM micro-kernel, elementwise
 //! maps, row reductions, the Adam update) funnels through this module. A
 //! dispatch [`Level`] is detected once per process (`std::arch` feature
-//! probes, cached in an atomic) and selects between four implementations of
+//! probes, cached in an atomic) and selects between three implementations of
 //! each kernel:
 //!
-//! * `scalar` — portable lane-by-lane Rust, the reference semantics;
-//! * `sse2`   — 128-bit vectors (x86-64 baseline, always available there);
+//! * `scalar` — portable lane-by-lane Rust, the reference semantics (on an
+//!   x86-64 host without AVX2 it compiles to the SSE2 baseline);
 //! * `avx2`   — 256-bit vectors;
 //! * `avx512` — 512-bit vectors (`avx512f`).
+//!
+//! Each level has exactly one GEMM micro-kernel path: every packed column
+//! block, including a panel's partial last block, runs the level's
+//! `ColBlock` register tile.
 //!
 //! ## The determinism argument
 //!
@@ -21,7 +25,8 @@
 //!    are distinct output *columns* of the packed-B `NR` block. Each
 //!    element's operation sequence (and therefore its rounding) is the same
 //!    at every width; vectorisation only changes how many independent
-//!    elements advance per instruction.
+//!    elements advance per instruction. A partial block's padded lanes
+//!    compute on zeros and are never written back.
 //! 2. *Horizontal* kernels (row sum/max, dot) fix the accumulation
 //!    *structure* — eight independent lane partials over `chunks_exact(8)`,
 //!    combined in lane order, then a sequential tail — and every level
@@ -29,20 +34,15 @@
 //!    eight lanes with an array; wider levels never use more than eight
 //!    partials.
 //!
-//! The one intentional exception is FMA: fused multiply-add skips the
-//! intermediate rounding of `mul` + `add`, so it is **opt-in** via
-//! `IST_SIMD_FMA=1`, applies only to the GEMM micro-kernel, and is excluded
-//! from every determinism gate (CI runs it under ULP-bounded tolerance
-//! tests only).
+//! No kernel fuses multiply-add: `mul` then `add`, two roundings, at every
+//! level.
 //!
-//! ## Knobs
+//! ## Knob
 //!
-//! * `IST_SIMD=scalar|sse2|avx2|avx512` — force a dispatch level (testing /
-//!   benchmarking). Requests above what the CPU supports are clamped to the
-//!   detected level with a one-time warning; malformed values warn once and
-//!   fall back to the detected level.
-//! * `IST_SIMD_FMA=1` — enable the fused-accumulate GEMM micro-kernel on
-//!   `avx2` (when `fma` is present) and `avx512` levels. Off by default.
+//! `IST_SIMD=scalar|avx2|avx512` forces a dispatch level (testing /
+//! benchmarking). Requests above what the CPU supports are clamped to the
+//! detected level with a one-time warning; malformed values (including the
+//! retired `sse2`) warn once and fall back to the detected level.
 
 // The only module in `ist-tensor` allowed to use `unsafe`: `std::arch`
 // intrinsics and `#[target_feature]` wrappers. Every unsafe block is a
@@ -60,7 +60,7 @@ use std::sync::OnceLock;
 /// and which rows those are must not depend on the level.
 pub const MR: usize = 4;
 /// Output columns per GEMM register tile — one packed-B block, i.e. two
-/// f32x8 lanes (or four f32x4 / one f32x16, depending on the level).
+/// f32x8 registers at `avx2` or one f32x16 at `avx512`.
 pub const NR: usize = 16;
 
 /// SIMD dispatch level, ordered from narrowest to widest.
@@ -68,12 +68,10 @@ pub const NR: usize = 16;
 pub enum Level {
     /// Portable scalar lane emulation (the reference semantics).
     Scalar = 0,
-    /// 128-bit SSE2 (the x86-64 baseline).
-    Sse2 = 1,
     /// 256-bit AVX2.
-    Avx2 = 2,
+    Avx2 = 1,
     /// 512-bit AVX-512F.
-    Avx512 = 3,
+    Avx512 = 2,
 }
 
 impl Level {
@@ -81,7 +79,6 @@ impl Level {
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
-            Level::Sse2 => "sse2",
             Level::Avx2 => "avx2",
             Level::Avx512 => "avx512",
         }
@@ -89,9 +86,8 @@ impl Level {
 
     fn from_u8(v: u8) -> Level {
         match v {
-            1 => Level::Sse2,
-            2 => Level::Avx2,
-            3 => Level::Avx512,
+            1 => Level::Avx2,
+            2 => Level::Avx512,
             _ => Level::Scalar,
         }
     }
@@ -109,7 +105,6 @@ impl FromStr for Level {
     fn from_str(s: &str) -> Result<Level, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(Level::Scalar),
-            "sse2" => Ok(Level::Sse2),
             "avx2" => Ok(Level::Avx2),
             "avx512" => Ok(Level::Avx512),
             other => Err(format!("unknown SIMD level {other:?}")),
@@ -128,8 +123,7 @@ pub fn detected() -> Level {
             } else if is_x86_feature_detected!("avx2") {
                 Level::Avx2
             } else {
-                // SSE2 is part of the x86-64 baseline.
-                Level::Sse2
+                Level::Scalar
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -139,31 +133,11 @@ pub fn detected() -> Level {
     })
 }
 
-/// True when the CPU has fused multiply-add for `level` (reporting /
-/// benchmarking; [`fma_mode`] is the switch the kernels consult).
-pub fn hardware_fma(level: Level) -> bool {
-    fma_available(level)
-}
-
-/// True when the CPU has fused multiply-add for the active level.
-fn fma_available(level: Level) -> bool {
-    match level {
-        Level::Scalar | Level::Sse2 => false,
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => is_x86_feature_detected!("fma"),
-        // `avx512f` includes fused multiply-add.
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => true,
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
-    }
-}
-
 /// Every level this host can run, narrowest first (always starts with
 /// `scalar`, always ends with [`detected`]).
 pub fn available_levels() -> Vec<Level> {
     let det = detected();
-    [Level::Scalar, Level::Sse2, Level::Avx2, Level::Avx512]
+    [Level::Scalar, Level::Avx2, Level::Avx512]
         .into_iter()
         .filter(|&l| l <= det)
         .collect()
@@ -171,7 +145,6 @@ pub fn available_levels() -> Vec<Level> {
 
 const LEVEL_UNSET: u8 = u8::MAX;
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
-static FMA_MODE: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
 
 /// `IST_SIMD` resolution, run once per process: parse (malformed values
 /// warn once via the shared knob machinery), then clamp to the detected
@@ -209,28 +182,6 @@ pub fn set_level(level: Level) -> Level {
     let effective = level.min(detected());
     LEVEL.store(effective as u8, Ordering::Relaxed);
     effective
-}
-
-/// True when the opt-in FMA GEMM micro-kernel is active: `IST_SIMD_FMA=1`
-/// (or [`set_fma`]) *and* the current level has fused multiply-add.
-pub fn fma_mode() -> bool {
-    let v = FMA_MODE.load(Ordering::Relaxed);
-    let want = if v != LEVEL_UNSET {
-        v != 0
-    } else {
-        let on = ist_obs::env::u64_or("IST_SIMD_FMA", 0) != 0;
-        let _ =
-            FMA_MODE.compare_exchange(LEVEL_UNSET, on as u8, Ordering::Relaxed, Ordering::Relaxed);
-        FMA_MODE.load(Ordering::Relaxed) != 0
-    };
-    want && fma_available(level())
-}
-
-/// Switches the opt-in FMA accumulate mode (bench/test hook). Returns the
-/// mode actually in effect (false when the level has no FMA).
-pub fn set_fma(on: bool) -> bool {
-    FMA_MODE.store(on as u8, Ordering::Relaxed);
-    fma_mode()
 }
 
 // ---------------------------------------------------------------------------
@@ -320,61 +271,6 @@ mod x86 {
     use super::V8;
     use std::arch::x86_64::*;
 
-    /// Two SSE2 registers (x86-64 baseline).
-    #[derive(Clone, Copy)]
-    pub(super) struct Sse2V(__m128, __m128);
-
-    impl V8 for Sse2V {
-        #[inline(always)]
-        fn splat(x: f32) -> Self {
-            unsafe { Sse2V(_mm_set1_ps(x), _mm_set1_ps(x)) }
-        }
-        #[inline(always)]
-        fn load(s: &[f32]) -> Self {
-            debug_assert!(s.len() >= 8);
-            unsafe { Sse2V(_mm_loadu_ps(s.as_ptr()), _mm_loadu_ps(s.as_ptr().add(4))) }
-        }
-        #[inline(always)]
-        fn store(self, s: &mut [f32]) {
-            debug_assert!(s.len() >= 8);
-            unsafe {
-                _mm_storeu_ps(s.as_mut_ptr(), self.0);
-                _mm_storeu_ps(s.as_mut_ptr().add(4), self.1);
-            }
-        }
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            unsafe { Sse2V(_mm_add_ps(self.0, o.0), _mm_add_ps(self.1, o.1)) }
-        }
-        #[inline(always)]
-        fn sub(self, o: Self) -> Self {
-            unsafe { Sse2V(_mm_sub_ps(self.0, o.0), _mm_sub_ps(self.1, o.1)) }
-        }
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            unsafe { Sse2V(_mm_mul_ps(self.0, o.0), _mm_mul_ps(self.1, o.1)) }
-        }
-        #[inline(always)]
-        fn div(self, o: Self) -> Self {
-            unsafe { Sse2V(_mm_div_ps(self.0, o.0), _mm_div_ps(self.1, o.1)) }
-        }
-        #[inline(always)]
-        fn sqrt(self) -> Self {
-            unsafe { Sse2V(_mm_sqrt_ps(self.0), _mm_sqrt_ps(self.1)) }
-        }
-        #[inline(always)]
-        fn pick_greater(self, o: Self) -> Self {
-            // `maxps(a, b)` is `a > b ? a : b` per lane.
-            unsafe { Sse2V(_mm_max_ps(self.0, o.0), _mm_max_ps(self.1, o.1)) }
-        }
-        #[inline(always)]
-        fn to_array(self) -> [f32; 8] {
-            let mut out = [0.0f32; 8];
-            self.store(&mut out);
-            out
-        }
-    }
-
     /// One AVX2 register (also serves the `avx512` level for 8-lane work;
     /// the lane *structure* of reductions is fixed at 8 by contract).
     #[derive(Clone, Copy)]
@@ -429,8 +325,8 @@ mod x86 {
 }
 
 /// Generates the runtime-dispatched front door for a generic kernel body:
-/// `avx2`/`avx512` levels run the AVX2 transcription, `sse2` the SSE2 one,
-/// `scalar` (and non-x86-64 builds) the reference lanes.
+/// `avx2`/`avx512` levels run the AVX2 transcription, `scalar` (and
+/// non-x86-64 builds) the reference lanes.
 macro_rules! dispatch8 {
     ($body:ident => $(#[$doc:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?) => {
         $(#[$doc])*
@@ -441,15 +337,10 @@ macro_rules! dispatch8 {
                 unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
                     $body::<x86::Avx2V>($($arg),*)
                 }
-                #[target_feature(enable = "sse2")]
-                unsafe fn sse2($($arg: $ty),*) $(-> $ret)? {
-                    $body::<x86::Sse2V>($($arg),*)
-                }
                 match level() {
                     // SAFETY: `level()` is clamped to `detected()`, so the
                     // required CPU features are present.
                     Level::Avx2 | Level::Avx512 => return unsafe { avx2($($arg),*) },
-                    Level::Sse2 => return unsafe { sse2($($arg),*) },
                     Level::Scalar => {}
                 }
             }
@@ -763,10 +654,10 @@ pub struct PanelGeom {
     pub kc: usize,
     /// First output column covered by this panel.
     pub jj: usize,
-    /// Number of full NR-wide column blocks in the panel.
-    pub nblocks: usize,
-    /// Columns in the final partial block (`< NR`, 0 if none).
-    pub tail: usize,
+    /// Output columns covered by this panel. The panel holds
+    /// `nc.div_ceil(NR)` NR-wide blocks; the last one is zero-padded when
+    /// `nc % NR != 0`.
+    pub nc: usize,
 }
 
 /// A register tile covering the NR output columns of one packed block.
@@ -779,11 +670,22 @@ trait ColBlock: Copy {
     fn load(s: &[f32]) -> Self;
     fn add(self, o: Self) -> Self;
     fn mul(self, o: Self) -> Self;
-    /// `self * b + acc` fused (single rounding) — only reached in the
-    /// opt-in FMA mode.
-    fn fma(self, b: Self, acc: Self) -> Self;
     /// `out[j] += lane j` for `j < NR`.
     fn accum_into(self, out: &mut [f32]);
+    fn to_array(self) -> [f32; NR];
+}
+
+/// Adds the first `width` lanes of `acc` into `out`: the whole tile for a
+/// full block, only the real columns of a zero-padded partial block.
+#[inline(always)]
+fn flush<C: ColBlock>(acc: C, out: &mut [f32], width: usize) {
+    if width == NR {
+        acc.accum_into(out);
+    } else {
+        for (slot, s) in out[..width].iter_mut().zip(acc.to_array()) {
+            *slot += s;
+        }
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -811,14 +713,14 @@ impl ColBlock for ScalarBlock {
         ScalarBlock(std::array::from_fn(|i| self.0[i] * o.0[i]))
     }
     #[inline(always)]
-    fn fma(self, b: Self, acc: Self) -> Self {
-        ScalarBlock(std::array::from_fn(|i| self.0[i].mul_add(b.0[i], acc.0[i])))
-    }
-    #[inline(always)]
     fn accum_into(self, out: &mut [f32]) {
         for (slot, &s) in out[..NR].iter_mut().zip(&self.0) {
             *slot += s;
         }
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f32; NR] {
+        self.0
     }
 }
 
@@ -828,55 +730,6 @@ mod x86_gemm {
     //! as the 8-lane types: only reached through feature-gated wrappers.
     use super::{ColBlock, NR};
     use std::arch::x86_64::*;
-
-    #[derive(Clone, Copy)]
-    pub(super) struct Sse2Block([__m128; 4]);
-
-    impl ColBlock for Sse2Block {
-        #[inline(always)]
-        fn zero() -> Self {
-            unsafe { Sse2Block([_mm_setzero_ps(); 4]) }
-        }
-        #[inline(always)]
-        fn splat(x: f32) -> Self {
-            unsafe { Sse2Block([_mm_set1_ps(x); 4]) }
-        }
-        #[inline(always)]
-        fn load(s: &[f32]) -> Self {
-            debug_assert!(s.len() >= NR);
-            unsafe {
-                Sse2Block([
-                    _mm_loadu_ps(s.as_ptr()),
-                    _mm_loadu_ps(s.as_ptr().add(4)),
-                    _mm_loadu_ps(s.as_ptr().add(8)),
-                    _mm_loadu_ps(s.as_ptr().add(12)),
-                ])
-            }
-        }
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            unsafe { Sse2Block(std::array::from_fn(|i| _mm_add_ps(self.0[i], o.0[i]))) }
-        }
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            unsafe { Sse2Block(std::array::from_fn(|i| _mm_mul_ps(self.0[i], o.0[i]))) }
-        }
-        #[inline(always)]
-        fn fma(self, b: Self, acc: Self) -> Self {
-            // SSE2 has no FMA; never selected in FMA mode.
-            self.mul(b).add(acc)
-        }
-        #[inline(always)]
-        fn accum_into(self, out: &mut [f32]) {
-            debug_assert!(out.len() >= NR);
-            unsafe {
-                for (i, v) in self.0.iter().enumerate() {
-                    let p = out.as_mut_ptr().add(4 * i);
-                    _mm_storeu_ps(p, _mm_add_ps(_mm_loadu_ps(p), *v));
-                }
-            }
-        }
-    }
 
     #[derive(Clone, Copy)]
     pub(super) struct Avx2Block([__m256; 2]);
@@ -919,15 +772,6 @@ mod x86_gemm {
             }
         }
         #[inline(always)]
-        fn fma(self, b: Self, acc: Self) -> Self {
-            unsafe {
-                Avx2Block([
-                    _mm256_fmadd_ps(self.0[0], b.0[0], acc.0[0]),
-                    _mm256_fmadd_ps(self.0[1], b.0[1], acc.0[1]),
-                ])
-            }
-        }
-        #[inline(always)]
         fn accum_into(self, out: &mut [f32]) {
             debug_assert!(out.len() >= NR);
             unsafe {
@@ -936,6 +780,16 @@ mod x86_gemm {
                 let p = p.add(8);
                 _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), self.0[1]));
             }
+        }
+        #[inline(always)]
+        fn to_array(self) -> [f32; NR] {
+            let mut lanes = [0.0f32; NR];
+            // SAFETY: the two 8-float stores cover exactly `lanes`' 16.
+            unsafe {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), self.0[0]);
+                _mm256_storeu_ps(lanes.as_mut_ptr().add(8), self.0[1]);
+            }
+            lanes
         }
     }
 
@@ -965,10 +819,6 @@ mod x86_gemm {
             unsafe { Avx512Block(_mm512_mul_ps(self.0, o.0)) }
         }
         #[inline(always)]
-        fn fma(self, b: Self, acc: Self) -> Self {
-            unsafe { Avx512Block(_mm512_fmadd_ps(self.0, b.0, acc.0)) }
-        }
-        #[inline(always)]
         fn accum_into(self, out: &mut [f32]) {
             debug_assert!(out.len() >= NR);
             unsafe {
@@ -976,17 +826,24 @@ mod x86_gemm {
                 _mm512_storeu_ps(p, _mm512_add_ps(_mm512_loadu_ps(p), self.0));
             }
         }
+        #[inline(always)]
+        fn to_array(self) -> [f32; NR] {
+            let mut lanes = [0.0f32; NR];
+            // SAFETY: one 16-float store into `lanes`, which holds 16.
+            unsafe { _mm512_storeu_ps(lanes.as_mut_ptr(), self.0) };
+            lanes
+        }
     }
 }
 
 /// Computes one packed panel's contribution to `out`. Ports the blocked
 /// kernel's micro-loop verbatim: the MR×NR register tile is held across
-/// the whole panel depth, `m % MR` remainder rows take a single-row path
-/// with a per-element zero skip, and the `tail` partial block stays scalar
-/// at every level (identical bits by construction). `FMA` fuses the
-/// accumulate (opt-in; different rounding).
+/// the whole panel depth, and `m % MR` remainder rows take a single-row
+/// path with a per-element zero skip. Every block, the zero-padded partial
+/// one included, runs the level's [`ColBlock`]; [`flush`] writes back only
+/// a partial block's real columns.
 #[inline(always)]
-fn gemm_panel_body<C: ColBlock, const FMA: bool>(
+fn gemm_panel_body<C: ColBlock>(
     a: &[f32],
     row_zero: &[bool],
     panel: &[f32],
@@ -1000,9 +857,10 @@ fn gemm_panel_body<C: ColBlock, const FMA: bool>(
         kk,
         kc,
         jj,
-        nblocks,
-        tail,
+        nc,
     } = g;
+    // (first output column, real width) of each packed block.
+    let blocks = (0..nc).step_by(NR).map(|c| (c, NR.min(nc - c)));
     let mut i = 0;
     // Micro-kernel: an MR×NR accumulator tile held in registers across the
     // whole depth, flushed to `out` once per panel.
@@ -1015,41 +873,18 @@ fn gemm_panel_body<C: ColBlock, const FMA: bool>(
         let a1 = &a[(i + 1) * k + kk..(i + 1) * k + kk + kc];
         let a2 = &a[(i + 2) * k + kk..(i + 2) * k + kk + kc];
         let a3 = &a[(i + 3) * k + kk..(i + 3) * k + kk + kc];
-        for jb in 0..nblocks {
-            let blk = &panel[jb * kc * NR..(jb + 1) * kc * NR];
+        for (c, width) in blocks.clone() {
+            let blk = &panel[c * kc..(c + NR) * kc];
             let mut acc = [C::zero(); MR];
             for p in 0..kc {
                 let bv = C::load(&blk[p * NR..]);
                 let xs = [a0[p], a1[p], a2[p], a3[p]];
                 for (accr, x) in acc.iter_mut().zip(xs) {
-                    *accr = if FMA {
-                        C::splat(x).fma(bv, *accr)
-                    } else {
-                        accr.add(C::splat(x).mul(bv))
-                    };
+                    *accr = accr.add(C::splat(x).mul(bv));
                 }
             }
-            for (r, accr) in acc.iter().enumerate() {
-                accr.accum_into(&mut out[(i + r) * n + jj + jb * NR..]);
-            }
-        }
-        if tail > 0 {
-            let blk = &panel[nblocks * kc * NR..nblocks * kc * NR + kc * tail];
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..kc {
-                let bv = &blk[p * tail..(p + 1) * tail];
-                let xs = [a0[p], a1[p], a2[p], a3[p]];
-                for (accr, x) in acc.iter_mut().zip(xs) {
-                    for (s, &bvj) in accr[..tail].iter_mut().zip(bv) {
-                        *s += x * bvj;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let o = (i + r) * n + jj + nblocks * NR;
-                for (slot, &s) in out[o..o + tail].iter_mut().zip(&accr[..tail]) {
-                    *slot += s;
-                }
+            for (r, accr) in acc.into_iter().enumerate() {
+                flush(accr, &mut out[(i + r) * n + jj + c..], width);
             }
         }
         i += MR;
@@ -1061,38 +896,16 @@ fn gemm_panel_body<C: ColBlock, const FMA: bool>(
             continue;
         }
         let a_row = &a[i * k + kk..i * k + kk + kc];
-        for jb in 0..nblocks {
-            let blk = &panel[jb * kc * NR..(jb + 1) * kc * NR];
+        for (c, width) in blocks.clone() {
+            let blk = &panel[c * kc..(c + NR) * kc];
             let mut acc = C::zero();
             for (p, &x) in a_row.iter().enumerate() {
                 if x == 0.0 {
                     continue;
                 }
-                let bv = C::load(&blk[p * NR..]);
-                acc = if FMA {
-                    C::splat(x).fma(bv, acc)
-                } else {
-                    acc.add(C::splat(x).mul(bv))
-                };
+                acc = acc.add(C::splat(x).mul(C::load(&blk[p * NR..])));
             }
-            acc.accum_into(&mut out[i * n + jj + jb * NR..]);
-        }
-        if tail > 0 {
-            let blk = &panel[nblocks * kc * NR..nblocks * kc * NR + kc * tail];
-            let mut acc = [0.0f32; NR];
-            for (p, &x) in a_row.iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                let bv = &blk[p * tail..(p + 1) * tail];
-                for (s, &bvj) in acc[..tail].iter_mut().zip(bv) {
-                    *s += x * bvj;
-                }
-            }
-            let o = i * n + jj + nblocks * NR;
-            for (slot, &s) in out[o..o + tail].iter_mut().zip(&acc[..tail]) {
-                *slot += s;
-            }
+            flush(acc, &mut out[i * n + jj + c..], width);
         }
         i += 1;
     }
@@ -1121,63 +934,32 @@ impl GemmKernel {
 }
 
 fn gemm_panel_scalar(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-    gemm_panel_body::<ScalarBlock, false>(a, rz, p, out, g);
+    gemm_panel_body::<ScalarBlock>(a, rz, p, out, g);
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86_kernels {
     use super::*;
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-        gemm_panel_body::<x86_gemm::Sse2Block, false>(a, rz, p, out, g);
-    }
-
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn avx2(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-        gemm_panel_body::<x86_gemm::Avx2Block, false>(a, rz, p, out, g);
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn avx2_fma(
-        a: &[f32],
-        rz: &[bool],
-        p: &[f32],
-        out: &mut [f32],
-        g: PanelGeom,
-    ) {
-        gemm_panel_body::<x86_gemm::Avx2Block, true>(a, rz, p, out, g);
+        gemm_panel_body::<x86_gemm::Avx2Block>(a, rz, p, out, g);
     }
 
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn avx512(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-        gemm_panel_body::<x86_gemm::Avx512Block, false>(a, rz, p, out, g);
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn avx512_fma(
-        a: &[f32],
-        rz: &[bool],
-        p: &[f32],
-        out: &mut [f32],
-        g: PanelGeom,
-    ) {
-        gemm_panel_body::<x86_gemm::Avx512Block, true>(a, rz, p, out, g);
+        gemm_panel_body::<x86_gemm::Avx512Block>(a, rz, p, out, g);
     }
 }
 
-/// Selects the GEMM micro-kernel for the active level (and FMA mode).
-/// Resolve once per GEMM call, not per panel.
+/// Selects the GEMM micro-kernel for the active level. Resolve once per
+/// GEMM call, not per panel.
 pub fn gemm_kernel() -> GemmKernel {
     #[cfg(target_arch = "x86_64")]
     {
-        let fma = fma_mode();
         match level() {
-            Level::Avx512 if fma => return GemmKernel(x86_kernels::avx512_fma),
             Level::Avx512 => return GemmKernel(x86_kernels::avx512),
-            Level::Avx2 if fma => return GemmKernel(x86_kernels::avx2_fma),
             Level::Avx2 => return GemmKernel(x86_kernels::avx2),
-            Level::Sse2 => return GemmKernel(x86_kernels::sse2),
             Level::Scalar => {}
         }
     }
@@ -1190,12 +972,14 @@ mod tests {
 
     #[test]
     fn level_parses_and_round_trips() {
-        for l in [Level::Scalar, Level::Sse2, Level::Avx2, Level::Avx512] {
+        for l in [Level::Scalar, Level::Avx2, Level::Avx512] {
             assert_eq!(l.name().parse::<Level>().unwrap(), l);
         }
         assert_eq!(" AVX2 ".parse::<Level>().unwrap(), Level::Avx2);
         assert!("garbage".parse::<Level>().is_err());
         assert!("".parse::<Level>().is_err());
+        // Retired level: `IST_SIMD=sse2` takes the malformed-value path.
+        assert!("sse2".parse::<Level>().is_err());
     }
 
     #[test]
@@ -1213,15 +997,6 @@ mod tests {
         assert!(eff <= detected());
         assert_eq!(level(), eff);
         set_level(prev);
-    }
-
-    #[test]
-    fn fma_mode_requires_hardware_fma() {
-        let (prev_level, prev_fma) = (level(), fma_mode());
-        set_level(Level::Scalar);
-        assert!(!set_fma(true), "scalar level must never report FMA");
-        set_level(prev_level);
-        set_fma(prev_fma);
     }
 
     #[test]

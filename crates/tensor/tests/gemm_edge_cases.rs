@@ -2,22 +2,62 @@
 //! that don't divide the tile sizes, degenerate K/N, zero padded rows, and
 //! a random-shape equivalence sweep against the serial reference kernel.
 
+use std::sync::Mutex;
+
 use ist_tensor::matmul::{bmm, gemm_blocked, gemm_serial, matmul, matvec};
 use ist_tensor::pool::ThreadPool;
 use ist_tensor::rng::{uniform, SeedRng, SeedRngExt as _};
+use ist_tensor::simd;
 use ist_tensor::{assert_close, Tensor};
 use proptest::prelude::*;
 
-/// Runs both kernels on the same random problem and compares.
+/// Depth of one packed panel in `ist_tensor::matmul` (its `KC`).
+const KC: usize = 256;
+
+/// `simd::set_level` is process-global; level sweeps take turns.
+static LEVEL_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs both kernels on the same random problem, with one all-zero row and
+/// scattered zero entries in `a`, at every dispatch level this host
+/// supports. Within one KC panel each output element is the same `acc + x·b`
+/// chain from zero in both kernels (skipping a zero entry adds nothing to a
+/// finite sum), so the results must match bit for bit, NR tails included.
+/// Deeper products add per-panel partial sums into `out` and are compared
+/// within a tolerance.
 fn check_blocked_vs_serial(m: usize, k: usize, n: usize, seed: u64) {
     let mut rng = SeedRng::seed(seed);
-    let a = uniform(&[m, k], -1.0, 1.0, &mut rng);
+    let mut a = uniform(&[m, k], -1.0, 1.0, &mut rng).into_vec();
     let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
-    let mut blocked = vec![0.0f32; m * n];
+    if m > 1 {
+        a[k..2 * k].fill(0.0);
+    }
+    a.iter_mut().skip(3).step_by(7).for_each(|v| *v = 0.0);
+    // `gemm_serial` skips zero entries and the 4-row micro-kernel does
+    // not, so `0 × ±inf` differs by design: only finite inputs are
+    // compared bitwise.
+    let bitwise = k <= KC && a.iter().chain(b.data()).all(|v| v.is_finite());
     let mut serial = vec![0.0f32; m * n];
-    gemm_blocked(a.data(), b.data(), &mut blocked, m, k, n);
-    gemm_serial(a.data(), b.data(), &mut serial, m, k, n);
-    assert_close(&blocked, &serial, 1e-4);
+    gemm_serial(&a, b.data(), &mut serial, m, k, n);
+
+    let _g = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = simd::level();
+    for level in simd::available_levels() {
+        simd::set_level(level);
+        let mut blocked = vec![0.0f32; m * n];
+        gemm_blocked(&a, b.data(), &mut blocked, m, k, n);
+        if bitwise {
+            for (i, (x, y)) in blocked.iter().zip(&serial).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "({m}, {k}, {n}) at {level}: element {i} is {x}, serial {y}"
+                );
+            }
+        } else {
+            assert_close(&blocked, &serial, 1e-4);
+        }
+    }
+    simd::set_level(prev);
 }
 
 #[test]
@@ -32,6 +72,15 @@ fn non_divisible_tile_sizes() {
         (1, 400, 19),   // single row
     ] {
         check_blocked_vs_serial(m, k, n, (m * 1000 + k * 10 + n) as u64);
+    }
+    // Every NR tail width up to three blocks, against every row count up
+    // to two MR blocks plus a remainder row, at depths up to one panel.
+    for n in 1..=48 {
+        for m in 1..=9 {
+            for k in [1, 5, 37, KC] {
+                check_blocked_vs_serial(m, k, n, (m * 1000 + k * 10 + n) as u64);
+            }
+        }
     }
 }
 
