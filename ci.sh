@@ -202,6 +202,9 @@ import json, sys
 
 required = {"tensor.gemm", "train.epoch", "ckpt.write", "eval.protocol"}
 seen = set()
+# Span events carry no "count"; the flushed aggregate of the same name does,
+# and it must count exactly the events emitted.
+events, aggregates = {}, {}
 with open(sys.argv[1]) as f:
     lines = [l for l in f if l.strip()]
 if not lines:
@@ -215,6 +218,10 @@ for i, line in enumerate(lines, 1):
         if "elapsed_us" not in obj:
             sys.exit(f"FAIL: span line {i} lacks elapsed_us: {line!r}")
         seen.add(obj["span"])
+        if "count" in obj:
+            aggregates[obj["span"]] = obj["count"]
+        else:
+            events[obj["span"]] = events.get(obj["span"], 0) + 1
     elif "counter" in obj:
         if "value" not in obj:
             sys.exit(f"FAIL: counter line {i} lacks value: {line!r}")
@@ -226,7 +233,14 @@ for i, line in enumerate(lines, 1):
 missing = required - seen
 if missing:
     sys.exit(f"FAIL: no telemetry from probes: {sorted(missing)}")
-print(f"validated {len(lines)} telemetry lines; spans cover {sorted(required)}")
+for span in ("train.epoch", "ckpt.write", "eval.protocol"):
+    if span not in aggregates:
+        sys.exit(f"FAIL: no aggregate line with a count for span {span}")
+    if aggregates[span] != events.get(span, 0):
+        sys.exit(f"FAIL: {span} aggregate counts {aggregates[span]} "
+                 f"but {events.get(span, 0)} events were emitted")
+print(f"validated {len(lines)} telemetry lines; spans cover {sorted(required)}; "
+      f"span aggregates match their event counts")
 EOF
     # Telemetry on must not break the determinism guarantee either.
     IST_METRICS=json IST_METRICS_OUT=/dev/null IST_THREADS=1 \
@@ -428,6 +442,9 @@ for family in ("serve_request_us_bucket", "serve_slo_p99_us", "serve_queue_depth
                "serve_batch_size_count"):
     if family not in final:
         fail(f"final scrape lacks {family}:\n{final}")
+# Per-op encoder time while serving: the autograd profiler's rows.
+if not re.search(r"^autograd_op_\w+_calls_total ", final, re.M):
+    fail(f"final scrape lacks an autograd_op family:\n{final}")
 
 # The engine is healthy: /healthz answers 200 and reports non-degraded
 # with a live SLO block.

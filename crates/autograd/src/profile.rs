@@ -3,12 +3,12 @@
 //!
 //! Every op in [`crate::ops`] / [`crate::fused`] opens an [`OpGuard`] on
 //! entry; [`crate::Tape::backward`] opens one per node around its backward
-//! rule. Guards record into a per-op table that surfaces through the
-//! `ist-obs` flush hook: a top-K table in `IST_METRICS=summary` output,
-//! `"span":"autograd.op.<kind>"` lines in json mode, and an
-//! `autograd.coverage` line relating attributed time to the enclosing
-//! forward/backward windows (the trainer opens the forward window, the
-//! tape sweep the backward one).
+//! rule. Guards record into a per-op table that an `ist-obs` flush hook
+//! adds to every snapshot as timer rows, so every sink (JSON lines, the
+//! summary table, `/metrics`) shows them: one `autograd.op.<kind>` row per
+//! op kind, and an `autograd.coverage` row relating attributed time to the
+//! enclosing forward/backward windows (the trainer opens the forward
+//! window, the tape sweep the backward one).
 //!
 //! ## Attribution rules
 //!
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use ist_obs::FlushHook;
+use ist_obs::{Field, FlushHook, Snapshot, TimerRow};
 
 /// Aggregate stats for one op kind.
 #[derive(Default, Clone, Copy)]
@@ -46,6 +46,7 @@ pub struct OpStat {
 
 static FWD_WINDOW_NS: AtomicU64 = AtomicU64::new(0);
 static BWD_WINDOW_NS: AtomicU64 = AtomicU64::new(0);
+static WINDOWS: AtomicU64 = AtomicU64::new(0);
 static HOOKED: AtomicBool = AtomicBool::new(false);
 
 fn stats() -> &'static Mutex<BTreeMap<&'static str, OpStat>> {
@@ -80,9 +81,7 @@ fn ensure_hooked() {
     if !HOOKED.swap(true, Ordering::Relaxed) {
         ist_obs::register_flush_hook(FlushHook {
             name: "autograd.profile",
-            sync: || {},
-            json_lines,
-            summary,
+            collect,
             reset,
         });
     }
@@ -90,15 +89,17 @@ fn ensure_hooked() {
 
 /// RAII guard for one forward op invocation. Also opens a trace scope so
 /// the op appears in the chrome-trace timeline.
-pub(crate) struct OpGuard {
+pub struct OpGuard {
     pops_stack: bool,
     rec: Option<(&'static str, Instant, bool)>, // (op, start, is_backward)
     _trace: ist_obs::TraceScope,
 }
 
-/// Opens a forward-op guard; call at the top of every op function.
+/// Opens a forward-op guard; call at the top of every op function, and of
+/// composites built outside this crate whose own work (such as sampling a
+/// dropout mask) would otherwise run outside every op.
 #[inline]
-pub(crate) fn fwd(op: &'static str) -> OpGuard {
+pub fn fwd(op: &'static str) -> OpGuard {
     let depth = OP_STACK.with(|s| {
         let mut s = s.borrow_mut();
         s.push(op);
@@ -201,6 +202,7 @@ impl Drop for WindowGuard {
         if let Some((start, window)) = self.start.take() {
             let ns = start.elapsed().as_nanos() as u64;
             ensure_hooked();
+            WINDOWS.fetch_add(1, Ordering::Relaxed);
             match window {
                 Window::Forward => FWD_WINDOW_NS.fetch_add(ns, Ordering::Relaxed),
                 Window::Backward => BWD_WINDOW_NS.fetch_add(ns, Ordering::Relaxed),
@@ -261,67 +263,40 @@ fn reset() {
     lock_stats().clear();
     FWD_WINDOW_NS.store(0, Ordering::Relaxed);
     BWD_WINDOW_NS.store(0, Ordering::Relaxed);
+    WINDOWS.store(0, Ordering::Relaxed);
 }
 
-fn json_lines(out: &mut Vec<String>) {
+/// Adds one timer row per op kind (calls and time over forward and
+/// backward, with the split and the output bytes as fields) and the
+/// `autograd.coverage` row (attributed time over the recorded windows).
+fn collect(snap: &mut Snapshot) {
     for (op, s) in op_table() {
-        if s.fwd_count + s.bwd_count == 0 {
-            continue;
-        }
-        out.push(format!(
-            "{{\"span\":\"autograd.op.{op}\",\"elapsed_us\":{},\"fwd_us\":{},\"fwd_count\":{},\
-             \"bwd_us\":{},\"bwd_count\":{},\"out_bytes\":{}}}",
-            (s.fwd_ns + s.bwd_ns) / 1_000,
-            s.fwd_ns / 1_000,
-            s.fwd_count,
-            s.bwd_ns / 1_000,
-            s.bwd_count,
-            s.out_bytes
-        ));
+        snap.timers.push(TimerRow {
+            name: format!("autograd.op.{op}"),
+            count: s.fwd_count + s.bwd_count,
+            total_ns: s.fwd_ns + s.bwd_ns,
+            fields: vec![
+                ("fwd_us", Field::U64(s.fwd_ns / 1_000)),
+                ("fwd_count", Field::U64(s.fwd_count)),
+                ("bwd_us", Field::U64(s.bwd_ns / 1_000)),
+                ("bwd_count", Field::U64(s.bwd_count)),
+                ("out_bytes", Field::U64(s.out_bytes)),
+            ],
+            ..TimerRow::default()
+        });
     }
     let t = totals();
-    if t.fwd_window_ns + t.bwd_window_ns > 0 {
-        out.push(format!(
-            "{{\"span\":\"autograd.coverage\",\"elapsed_us\":{},\"window_us\":{},\
-             \"coverage\":{:.4}}}",
-            (t.attributed_fwd_ns + t.attributed_bwd_ns) / 1_000,
-            (t.fwd_window_ns + t.bwd_window_ns) / 1_000,
-            t.coverage()
-        ));
-    }
-}
-
-const TOP_K: usize = 12;
-
-fn summary(out: &mut String) {
-    let rows = op_table();
-    if rows.is_empty() {
-        return;
-    }
-    out.push_str(&format!(
-        "{:<22} {:>10} {:>8} {:>10} {:>8} {:>10}\n",
-        "autograd op", "fwd ms", "calls", "bwd ms", "calls", "out MB"
-    ));
-    for (op, s) in rows.iter().take(TOP_K) {
-        out.push_str(&format!(
-            "{op:<22} {:>10.3} {:>8} {:>10.3} {:>8} {:>10.2}\n",
-            s.fwd_ns as f64 / 1e6,
-            s.fwd_count,
-            s.bwd_ns as f64 / 1e6,
-            s.bwd_count,
-            s.out_bytes as f64 / (1024.0 * 1024.0)
-        ));
-    }
-    if rows.len() > TOP_K {
-        out.push_str(&format!("… {} more op kinds\n", rows.len() - TOP_K));
-    }
-    let t = totals();
-    if t.fwd_window_ns + t.bwd_window_ns > 0 {
-        out.push_str(&format!(
-            "op-attributed time: {:.1} ms of {:.1} ms forward+backward ({:.1}%)\n",
-            (t.attributed_fwd_ns + t.attributed_bwd_ns) as f64 / 1e6,
-            (t.fwd_window_ns + t.bwd_window_ns) as f64 / 1e6,
-            t.coverage() * 100.0
-        ));
-    }
+    snap.timers.push(TimerRow {
+        name: "autograd.coverage".into(),
+        count: WINDOWS.load(Ordering::Relaxed),
+        total_ns: t.attributed_fwd_ns + t.attributed_bwd_ns,
+        fields: vec![
+            (
+                "window_us",
+                Field::U64((t.fwd_window_ns + t.bwd_window_ns) / 1_000),
+            ),
+            ("coverage", Field::F64(t.coverage())),
+        ],
+        ..TimerRow::default()
+    });
 }

@@ -1,16 +1,25 @@
-//! Autograd profiler integration tests: op attribution and window coverage.
+//! Autograd profiler integration tests: op attribution, window coverage,
+//! and the agreement of every obs sink on one snapshot.
 //!
-//! Profiler state is process-global, so the attribution/coverage checks
-//! live in a single test function, alone in this binary: tests in one
-//! binary run in parallel, and any other test's ops would be attributed
-//! here too.
+//! Profiler and registry state is process-global, so the tests in this
+//! binary take `SERIAL` and reset the registry first: tests in one binary
+//! run in parallel, and one test's ops would be attributed to the other.
+
+use std::sync::Mutex;
 
 use ist_autograd::{fused, ops, profile, Tape};
 use ist_tensor::rng::{randn, SeedRng, SeedRngExt};
 use ist_tensor::Tensor;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[test]
 fn attribution_and_coverage() {
+    let _g = serial();
     ist_obs::set_mode(ist_obs::Mode::Summary);
     ist_obs::reset();
 
@@ -70,11 +79,17 @@ fn attribution_and_coverage() {
         t.coverage()
     );
 
-    // The summary render includes the top-K table and coverage line.
+    // The summary render includes the per-op rows and the coverage figure.
     let summary = ist_obs::render_summary();
-    assert!(summary.contains("autograd op"), "summary:\n{summary}");
-    assert!(summary.contains("matmul"));
-    assert!(summary.contains("op-attributed time"));
+    let mm_row = summary
+        .lines()
+        .find(|l| l.starts_with("autograd.op.matmul "))
+        .unwrap_or_else(|| panic!("no matmul row in summary:\n{summary}"));
+    assert!(mm_row.contains("fwd_count=3"), "{mm_row}");
+    assert!(
+        summary.contains(&format!("coverage={:.6}", t.coverage())),
+        "summary:\n{summary}"
+    );
 
     // json snapshot lines use the span schema the CI validator expects.
     let json = ist_obs::snapshot_json().join("\n");
@@ -82,4 +97,150 @@ fn attribution_and_coverage() {
     assert!(json.contains("\"span\":\"autograd.coverage\""));
 
     ist_obs::set_mode(ist_obs::Mode::Off);
+}
+
+static PROBE_HIST: ist_obs::Histogram = ist_obs::Histogram::with_unit("probe.hist", "us");
+
+/// Prometheus metric name of a probe name (the exposition's mapping).
+fn prom_name(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+/// The integer after `"key":` in a JSON line.
+fn json_u64(line: &str, key: &str) -> Option<u64> {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The `nth` whitespace-separated token after `name` on the summary line
+/// that starts with `name`.
+fn summary_token(summary: &str, name: &str, nth: usize) -> Option<String> {
+    let line = summary
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(name))?;
+    line.split_whitespace().nth(nth + 1).map(str::to_string)
+}
+
+fn prom_sample(prom: &str, metric: &str) -> Option<u64> {
+    prom.lines()
+        .find(|l| l.split(' ').next() == Some(metric))
+        .and_then(|l| l.rsplit(' ').next()?.parse().ok())
+}
+
+/// Every row of one snapshot shows up in all three sinks (JSON lines, the
+/// summary table, the Prometheus exposition) with the same count or value.
+#[test]
+fn every_sink_renders_every_snapshot_row() {
+    let _g = serial();
+    ist_obs::set_mode(ist_obs::Mode::Collect);
+    ist_obs::reset();
+
+    let mut rng = SeedRng::seed(11);
+    let (a0, b0) = (randn(&[8, 8], 1.0, &mut rng), randn(&[8, 8], 1.0, &mut rng));
+    {
+        let _span = ist_obs::Span::enter("probe.span");
+        let tape = Tape::new();
+        let window = profile::forward_window();
+        let prod = ops::matmul(&tape.leaf(a0), &tape.leaf(b0));
+        let loss = ops::mean_all(&ops::tanh(&prod));
+        drop(window);
+        tape.backward(&loss);
+    }
+    for v in [3u64, 40, 500] {
+        PROBE_HIST.record(v);
+    }
+
+    let snap = ist_obs::snapshot();
+    let json = ist_obs::snapshot_json();
+    let summary = ist_obs::render_summary();
+    let prom = ist_obs::export::render_prometheus();
+    ist_obs::set_mode(ist_obs::Mode::Off);
+
+    for name in ["probe.span", "autograd.op.matmul", "autograd.coverage"] {
+        assert!(
+            snap.timers.iter().any(|t| t.name == name),
+            "snapshot lacks timer {name}"
+        );
+    }
+    assert!(snap.histograms.iter().any(|h| h.name == "probe.hist"));
+
+    let json_line = |key: &str, name: &str| {
+        let head = format!("{{\"{key}\":\"{name}\",");
+        json.iter()
+            .find(|l| l.starts_with(&head))
+            .unwrap_or_else(|| panic!("no JSON line for {key} {name}:\n{}", json.join("\n")))
+            .clone()
+    };
+    for t in &snap.timers {
+        let name = &t.name;
+        assert_eq!(
+            json_u64(&json_line("span", name), "count"),
+            Some(t.count),
+            "{name}"
+        );
+        assert_eq!(
+            summary_token(&summary, name, 0),
+            Some(t.count.to_string()),
+            "{name} in summary:\n{summary}"
+        );
+        let calls = format!("{}_calls_total", prom_name(name));
+        assert_eq!(
+            prom_sample(&prom, &calls),
+            Some(t.count),
+            "{calls} in:\n{prom}"
+        );
+    }
+    for h in &snap.histograms {
+        let name = &h.name;
+        assert_eq!(
+            json_u64(&json_line("histogram", name), "count"),
+            Some(h.count()),
+            "{name}"
+        );
+        assert_eq!(
+            summary_token(&summary, name, 1),
+            Some(h.count().to_string()),
+            "{name} in summary:\n{summary}"
+        );
+        let count = format!("{}_count", prom_name(name));
+        assert_eq!(
+            prom_sample(&prom, &count),
+            Some(h.count()),
+            "{count} in:\n{prom}"
+        );
+    }
+    let counters = snap.counters.iter().map(|c| (c, true));
+    for ((name, value), is_counter) in counters.chain(snap.gauges.iter().map(|g| (g, false))) {
+        assert_eq!(
+            json_u64(&json_line("counter", name), "value"),
+            Some(*value),
+            "{name}"
+        );
+        assert_eq!(
+            summary_token(&summary, name, 0),
+            Some(value.to_string()),
+            "{name} in summary:\n{summary}"
+        );
+        let mut metric = prom_name(name);
+        if is_counter && !metric.ends_with("_total") {
+            metric.push_str("_total");
+        }
+        assert_eq!(
+            prom_sample(&prom, &metric),
+            Some(*value),
+            "{metric} in:\n{prom}"
+        );
+    }
 }

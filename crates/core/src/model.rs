@@ -256,8 +256,12 @@ impl Isrec {
             // m_{t+1} from the feature norms ‖z_{t+1,k}‖₂ (§3.5): hard
             // top-λ in hard mode; in soft mode a λ-scaled softmax over the
             // squared norms (differentiable through the GCN).
-            let norms = reduce::norm2_lastdim(&z_next.value()); // [rows, K]
-            let idx = reduce::topk_lastdim(&norms, self.lambda);
+            let idx = {
+                // Plain-tensor work, so profile it as an op of its own.
+                let _p = ist_autograd::profile::fwd("intent_topk");
+                let norms = reduce::norm2_lastdim(&z_next.value()); // [rows, K]
+                reduce::topk_lastdim(&norms, self.lambda)
+            };
             let mask_var = if self.cfg.soft_intents {
                 let sq = ops::sum_lastdim(&ops::mul(&z_next, &z_next)); // [rows, K]
                 let w = fused::softmax_lastdim(&ops::scale(&sq, 1.0 / self.cfg.tau));

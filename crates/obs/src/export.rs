@@ -10,15 +10,18 @@
 //!
 //! ## Exposition mapping
 //!
-//! Metric names swap `.` for `_`. Counters gain the conventional `_total`
-//! suffix; gauges export as-is; timers (and span aggregates) export as two
-//! counters, `<name>_calls_total` and `<name>_seconds_total`. Histograms
-//! map their log₂ buckets to cumulative `le` buckets: internal bucket `i`
-//! covers `[2^(i-1), 2^i)`, so its exposition upper bound is `le="2^i - 1"`
-//! (the last internal bucket folds into `le="+Inf"`), with `_sum` and
-//! `_count` alongside. Bucket counts are summed into `_count` from the
-//! same atomic reads, so each scrape is internally consistent even while
-//! recording races it, and all series are monotone across scrapes.
+//! `/metrics` renders one [`crate::snapshot`], the same rows the JSON lines
+//! and the summary table show. Metric names swap `.` for `_`. Counters
+//! gain the conventional `_total` suffix; gauges export as-is; timer rows
+//! (span aggregates and the autograd per-op rows included) export as two
+//! counters, `<name>_calls_total` and `<name>_seconds_total`, plus one gauge
+//! `<name>_<field>` per numeric field. Histograms map their log₂ buckets
+//! to cumulative `le` buckets: internal bucket `i` covers `[2^(i-1), 2^i)`,
+//! so its exposition upper bound is `le="2^i - 1"` (the last internal
+//! bucket folds into `le="+Inf"`), with `_sum` and `_count` alongside.
+//! `_count` is the bucket total of the same one-pass read, so each scrape
+//! is internally consistent even while recording races it, and all series
+//! are monotone across scrapes.
 //!
 //! ## Health
 //!
@@ -34,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::{hooks_snapshot, lock_tolerant, registry, Histogram};
+use crate::{lock_tolerant, Field, HistogramRow, Snapshot};
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
@@ -201,73 +204,72 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-fn push_counter_family(out: &mut String, name: &str, value: u64) {
-    out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
+fn family(name: &str, kind: &str, value: impl std::fmt::Display) -> String {
+    format!("# TYPE {name} {kind}\n{name} {value}\n")
 }
 
-fn push_histogram_family(out: &mut String, h: &'static Histogram) {
-    let name = sanitize(h.name());
+fn push_histogram_family(out: &mut String, h: &HistogramRow) {
+    let name = sanitize(&h.name);
     out.push_str(&format!("# TYPE {name} histogram\n"));
-    let counts = h.bucket_counts();
-    let last = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+    let last = h.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
     let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate().take(last + 1) {
+    for (i, &c) in h.buckets.iter().enumerate().take(last + 1) {
         cum += c;
         // Internal bucket i covers [2^(i-1), 2^i) (bucket 0 holds exactly
         // 0); the open-ended last bucket folds into +Inf below.
-        if i == counts.len() - 1 {
+        if i == h.buckets.len() - 1 {
             break;
         }
         let le = if i == 0 { 0 } else { (1u64 << i) - 1 };
         out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cum}\n"));
     }
-    let total: u64 = counts.iter().sum();
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {total}\n"));
-    out.push_str(&format!("{name}_sum {}\n", h.sum_value()));
-    out.push_str(&format!("{name}_count {total}\n"));
+    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n"));
+    out.push_str(&format!("{name}_sum {}\n", h.sum));
+    out.push_str(&format!("{name}_count {cum}\n"));
 }
 
-/// Renders the whole registry in Prometheus text exposition format.
-/// Registered flush hooks run their `sync` first, so derived gauges (SLO
-/// burn rates, pool stats) are fresh in every scrape.
-pub fn render_prometheus() -> String {
-    let hooks = hooks_snapshot();
-    for h in &hooks {
-        (h.sync)();
-    }
-    let mut out = String::new();
-    let reg = lock_tolerant(registry());
-    for c in &reg.counters {
-        let mut name = sanitize(c.name());
-        if !name.ends_with("_total") {
-            name.push_str("_total");
+impl Snapshot {
+    /// The snapshot in Prometheus text exposition format (see the module
+    /// docs for the mapping).
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::new();
+        for (name, value) in &self.counters {
+            let name = sanitize(name);
+            let name = if name.ends_with("_total") {
+                name
+            } else {
+                name + "_total"
+            };
+            out += &family(&name, "counter", value);
         }
-        push_counter_family(&mut out, &name, c.get());
+        for (name, value) in &self.gauges {
+            out += &family(&sanitize(name), "gauge", value);
+        }
+        for t in &self.timers {
+            let name = sanitize(&t.name);
+            let seconds = format!("{:.9}", t.total_ns as f64 / 1e9);
+            out += &family(&format!("{name}_calls_total"), "counter", t.count);
+            out += &family(&format!("{name}_seconds_total"), "counter", seconds);
+            for (key, value) in &t.fields {
+                let gauge = format!("{name}_{}", sanitize(key));
+                match value {
+                    Field::U64(v) => out += &family(&gauge, "gauge", v),
+                    Field::F64(v) if v.is_finite() => out += &family(&gauge, "gauge", v),
+                    Field::F64(_) | Field::Str(_) => {}
+                }
+            }
+        }
+        for h in &self.histograms {
+            push_histogram_family(&mut out, h);
+        }
+        out
     }
-    for g in &reg.gauges {
-        let name = sanitize(g.name());
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
-    }
-    for t in &reg.timers {
-        let name = sanitize(t.name());
-        push_counter_family(&mut out, &format!("{name}_calls_total"), t.count());
-        out.push_str(&format!(
-            "# TYPE {name}_seconds_total counter\n{name}_seconds_total {:.9}\n",
-            t.total_ns() as f64 / 1e9
-        ));
-    }
-    for h in reg.histograms.iter().filter(|h| h.count() > 0) {
-        push_histogram_family(&mut out, h);
-    }
-    for (name, count, total_ns) in reg.span_stats() {
-        let name = sanitize(name);
-        push_counter_family(&mut out, &format!("{name}_calls_total"), count);
-        out.push_str(&format!(
-            "# TYPE {name}_seconds_total counter\n{name}_seconds_total {:.9}\n",
-            total_ns as f64 / 1e9
-        ));
-    }
-    out
+}
+
+/// [`crate::snapshot`] in Prometheus text exposition format (the body of
+/// `/metrics`).
+pub fn render_prometheus() -> String {
+    crate::snapshot().to_prometheus()
 }
 
 #[cfg(test)]

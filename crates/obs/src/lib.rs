@@ -17,31 +17,46 @@
 //! handles happens lazily on *first enabled use*, so a disabled process
 //! never touches the registry at all.
 //!
-//! ## Instrument granularity
+//! ## Events and aggregates
 //!
-//! Two kinds of timing exist on purpose:
+//! Every probe feeds an *aggregate*; only [`Span`] also emits *events*.
 //!
-//! * [`Timer`] — a static, *aggregating* accumulator (count, total time,
-//!   optional work units such as FLOPs). Hot operations (GEMM, softmax,
-//!   optimizer steps) record into timers; nothing is emitted per call, and
-//!   [`flush`] reports the aggregate once (with a derived `rate_per_s`
-//!   throughput, e.g. GFLOP/s for a timer whose unit is `flop`).
-//! * [`Span`] — an RAII scope that *emits one JSON line on drop* (in
-//!   `json` mode) and feeds the same aggregate table. Use spans for coarse
-//!   events worth a line each: a training epoch, a checkpoint write, an
-//!   eval-protocol pass, one (model, dataset) suite cell.
+//! * Aggregates — [`Timer`] (count, total time, optional work units such
+//!   as FLOPs), [`Histogram`], [`Counter`] and [`Gauge`] — accumulate in
+//!   atomics and are reported only when a sink reads them. A span's
+//!   elapsed time aggregates into the timer of the span's name, so a span
+//!   is reported exactly like a timer.
+//! * Events — in `json` mode, dropping a [`Span`] emits one line with its
+//!   own elapsed time and fields. Use spans for coarse phases worth a line
+//!   each: a training epoch, a checkpoint write, an eval-protocol pass.
+//!
+//! ## One snapshot, three renderers
+//!
+//! [`snapshot`] is the only reader of the aggregates: it runs the
+//! registered [`FlushHook`]s, then reads the registry into a [`Snapshot`]
+//! of timer rows, histogram rows, counters and gauges. The three sinks
+//! render that value and compute nothing of their own:
+//! [`Snapshot::to_json_lines`] (json-mode [`flush`], [`snapshot_json`]),
+//! [`Snapshot::to_summary`] (summary-mode [`flush`], [`render_summary`])
+//! and [`Snapshot::to_prometheus`] (`/metrics`, see [`export`]).
+//!
+//! A [`FlushHook`] lets another crate contribute to every snapshot. It has
+//! three fields: `name` (registration is idempotent per name), `collect`
+//! (adds rows to the snapshot, or refreshes gauges, before the registry is
+//! read) and `reset` (clears the hook's own state on [`reset`]).
 //!
 //! ## Output
 //!
 //! JSON-lines go to the sink: `IST_METRICS_OUT=<path>` (or
 //! [`set_output_path`] / the CLI's `--metrics-out`) writes to a file,
-//! otherwise lines land on stderr. Every line is a single JSON object with
-//! either a `"span"` + `"elapsed_us"` pair or a `"counter"` + `"value"`
-//! pair; extra fields ride alongside. Call [`flush`] once at the end of a
-//! run to emit timer/counter aggregates (json mode) or render the summary
-//! table (summary mode, to stderr).
+//! otherwise lines land on stderr. Every line is a single JSON object:
+//! timers as `"span"` + `"elapsed_us"` + `"count"`, span events as
+//! `"span"` + `"elapsed_us"` (no `"count"`), counters and gauges as
+//! `"counter"` + `"value"`, histograms as `"histogram"` + quantiles; extra
+//! fields ride alongside. Call [`flush`] once at the end of a run to emit
+//! the aggregates (json mode) or render the summary table (summary mode,
+//! to stderr).
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -66,7 +81,7 @@ pub enum Mode {
     /// Aggregate only; `flush` renders a human-readable table to stderr.
     Summary,
     /// Aggregate only, and `flush` emits nothing — for live scrapers
-    /// ([`export`]) that read the registry directly. Forced automatically
+    /// ([`export`]) that render [`snapshot`]s. Forced automatically
     /// when a scrape endpoint starts while metrics are otherwise off.
     Collect,
 }
@@ -138,28 +153,25 @@ fn init_mode_from_env() -> Mode {
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
-struct SpanStat {
-    count: u64,
-    total_ns: u64,
-}
-
-#[derive(Default)]
-pub(crate) struct Registry {
-    pub(crate) counters: Vec<&'static Counter>,
-    pub(crate) gauges: Vec<&'static Gauge>,
-    pub(crate) timers: Vec<&'static Timer>,
-    pub(crate) histograms: Vec<&'static Histogram>,
-    spans: BTreeMap<&'static str, SpanStat>,
+struct Registry {
+    counters: Vec<&'static Counter>,
+    gauges: Vec<&'static Gauge>,
+    timers: Vec<&'static Timer>,
+    histograms: Vec<&'static Histogram>,
 }
 
 impl Registry {
-    /// `(name, count, total_ns)` per aggregated span (for the scrape
-    /// endpoint's exposition).
-    pub(crate) fn span_stats(&self) -> Vec<(&'static str, u64, u64)> {
-        self.spans
-            .iter()
-            .map(|(name, s)| (*name, s.count, s.total_ns))
-            .collect()
+    /// The timer a [`Span`] called `name` aggregates into: the registered
+    /// timer of that name, or a new one on first use. Span names are
+    /// `'static`, so at most one timer per distinct name is leaked.
+    fn timer_named(&mut self, name: &'static str) -> &'static Timer {
+        if let Some(t) = self.timers.iter().find(|t| t.name == name) {
+            return t;
+        }
+        let t: &'static Timer = Box::leak(Box::new(Timer::new(name)));
+        t.registered.store(true, Ordering::Relaxed);
+        self.timers.push(t);
+        t
     }
 }
 
@@ -169,7 +181,7 @@ pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-pub(crate) fn registry() -> &'static Mutex<Registry> {
+fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
 }
@@ -265,11 +277,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// The counter's registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 /// A named last-value-wins gauge (e.g. configured pool size).
@@ -295,63 +302,15 @@ impl Gauge {
         if !enabled() {
             return;
         }
-        self.register();
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` to the gauge (live-resource accounting, e.g. tensor bytes);
-    /// a no-op when telemetry is off. Returns the post-add value (0 when
-    /// disabled).
-    #[inline]
-    pub fn add(&'static self, n: u64) -> u64 {
-        if !enabled() {
-            return 0;
-        }
-        self.register();
-        self.value.fetch_add(n, Ordering::Relaxed) + n
-    }
-
-    /// Subtracts `n`, saturating at zero — frees of resources acquired
-    /// before telemetry was enabled must not wrap the gauge.
-    #[inline]
-    pub fn sub(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        let _ = self
-            .value
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-    }
-
-    /// Raises the gauge to `v` if larger (high-water marks); a no-op when
-    /// telemetry is off.
-    #[inline]
-    pub fn set_max(&'static self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn register(&'static self) {
         if !self.registered.swap(true, Ordering::Relaxed) {
             lock_tolerant(registry()).gauges.push(self);
         }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// The gauge's registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -433,19 +392,15 @@ impl Timer {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Total recorded nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.total_ns.load(Ordering::Relaxed)
-    }
-
-    /// Total recorded work units.
-    pub fn units(&self) -> u64 {
-        self.units.load(Ordering::Relaxed)
-    }
-
-    /// The timer's registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    fn row(&self) -> TimerRow {
+        TimerRow {
+            name: self.name.to_string(),
+            count: self.count(),
+            total_ns: self.total_ns.load(Ordering::Relaxed),
+            units: self.units.load(Ordering::Relaxed),
+            unit: self.unit,
+            fields: Vec::new(),
+        }
     }
 }
 
@@ -475,10 +430,9 @@ const HIST_BUCKETS: usize = 64;
 
 /// A static, lock-free distribution of `u64` samples over log2 buckets —
 /// built for latency quantiles (p50/p95/p99) where a [`Timer`]'s mean hides
-/// the tail. Recording is two relaxed `fetch_add`s plus one on the bucket;
-/// quantiles interpolate linearly inside the hit bucket, so they are exact
-/// to within one octave (plenty for latency reporting, and the summary
-/// prints them next to the true mean).
+/// the tail. Recording is one relaxed `fetch_add` on the sum plus one on
+/// the bucket; the count is the bucket total. Quantiles are computed on a
+/// [`HistogramRow`] read from it.
 ///
 /// Like every probe here it is inert when telemetry is off and
 /// self-registers on first enabled use.
@@ -486,7 +440,6 @@ pub struct Histogram {
     name: &'static str,
     unit: &'static str,
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     registered: AtomicBool,
 }
@@ -503,7 +456,6 @@ impl Histogram {
             name,
             unit,
             buckets: [ZERO; HIST_BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             registered: AtomicBool::new(false),
         }
@@ -519,7 +471,6 @@ impl Histogram {
         if !self.registered.swap(true, Ordering::Relaxed) {
             lock_tolerant(registry()).histograms.push(self);
         }
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
@@ -533,82 +484,26 @@ impl Histogram {
         }
     }
 
-    /// `[lo, hi]` value range covered by bucket `i`.
-    fn bucket_range(i: usize) -> (u64, u64) {
-        match i {
-            0 => (0, 0),
-            _ if i == HIST_BUCKETS - 1 => (1u64 << (i - 1), u64::MAX),
-            _ => (1u64 << (i - 1), (1u64 << i) - 1),
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// The histogram's registered name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum_value(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the per-bucket counts (log₂ buckets; see
-    /// [`Histogram`]). Used by the Prometheus exposition mapping.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
+    /// Reads the histogram once: each bucket is one relaxed load, and the
+    /// row's count is the sum of the loaded buckets, so every figure a
+    /// renderer derives from the row agrees even while recording races it.
+    pub(crate) fn row(&self) -> HistogramRow {
+        let buckets: Vec<u64> = self
+            .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Mean of recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
+            .collect();
+        HistogramRow {
+            name: self.name.to_string(),
+            unit: self.unit,
+            sum: self.sum.load(Ordering::Relaxed),
+            buckets,
         }
-        self.sum.load(Ordering::Relaxed) as f64 / n as f64
-    }
-
-    /// The `q`-quantile (`q` in `[0,1]`) with linear interpolation inside
-    /// the hit bucket; 0.0 when empty. `quantile(0.99)` is the p99.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target sample, 1-based (ceil, so q=1.0 → the max).
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let in_bucket = b.load(Ordering::Relaxed);
-            if in_bucket == 0 {
-                continue;
-            }
-            if seen + in_bucket >= rank {
-                let (lo, hi) = Self::bucket_range(i);
-                // Assume samples spread evenly across the bucket's range.
-                // The last bucket is open-ended (`hi == u64::MAX`), so
-                // interpolating inside it would explode the estimate; no
-                // single sample can exceed the recorded sum, so the sum is
-                // a tight upper bound when one outlier landed there.
-                let hi = if i == HIST_BUCKETS - 1 {
-                    self.sum.load(Ordering::Relaxed).max(lo)
-                } else {
-                    hi
-                };
-                let into = (rank - seen) as f64 / in_bucket as f64;
-                return lo as f64 + (hi - lo) as f64 * into;
-            }
-            seen += in_bucket;
-        }
-        0.0
     }
 }
 
@@ -666,8 +561,8 @@ struct SpanInner {
 
 /// An RAII scope: in `json` mode, dropping the span emits one line
 /// `{"span": <name>, "elapsed_us": <n>, …fields}`; in every enabled mode
-/// the elapsed time also feeds the aggregate summary. Inert when telemetry
-/// is off.
+/// the elapsed time also aggregates into the timer of the span's name.
+/// Inert when telemetry is off.
 pub struct Span {
     inner: Option<SpanInner>,
     _trace: trace::TraceScope,
@@ -729,21 +624,15 @@ impl Drop for Span {
             return;
         };
         let ns = inner.start.elapsed().as_nanos() as u64;
-        {
-            let mut reg = lock_tolerant(registry());
-            let stat = reg.spans.entry(inner.name).or_default();
-            stat.count += 1;
-            stat.total_ns += ns;
-        }
+        let timer = lock_tolerant(registry()).timer_named(inner.name);
+        timer.record(ns, 0);
         if mode() == Mode::Json {
             let mut line = format!(
                 "{{\"span\":{},\"elapsed_us\":{}",
                 json_string(inner.name),
                 ns / 1_000
             );
-            for (key, value) in &inner.fields {
-                line.push_str(&format!(",{}:{}", json_string(key), json_value(value)));
-            }
+            push_json_fields(&mut line, &inner.fields);
             line.push('}');
             emit_line(&line);
         }
@@ -781,64 +670,246 @@ fn json_value(f: &Field) -> String {
     }
 }
 
-fn timer_json(t: &Timer) -> String {
-    let total_ns = t.total_ns();
-    let mut line = format!(
-        "{{\"span\":{},\"elapsed_us\":{},\"count\":{}",
-        json_string(t.name),
-        total_ns / 1_000,
-        t.count()
-    );
-    let units = t.units();
-    if units > 0 {
-        line.push_str(&format!(
-            ",\"units\":{units},\"unit\":{}",
-            json_string(t.unit)
-        ));
-        if total_ns > 0 {
-            let rate = units as f64 / (total_ns as f64 / 1e9);
-            line.push_str(&format!(",\"rate_per_s\":{rate:.1}"));
+/// Appends `,"key":value` per field to an open JSON object.
+fn push_json_fields(line: &mut String, fields: &[(&'static str, Field)]) {
+    for (key, value) in fields {
+        line.push_str(&format!(",{}:{}", json_string(key), json_value(value)));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot: the one reading of every aggregate, and its renderers
+// ---------------------------------------------------------------------------
+
+/// One timer's aggregate: a [`Timer`], the spans of one name, or a row a
+/// [`FlushHook`] contributes (the autograd profiler's per-op table).
+#[derive(Clone, Debug, Default)]
+pub struct TimerRow {
+    /// Probe name.
+    pub name: String,
+    /// Recorded calls.
+    pub count: u64,
+    /// Total recorded nanoseconds.
+    pub total_ns: u64,
+    /// Total work units (0 for a timer without a unit).
+    pub units: u64,
+    /// Work-unit label (`"flop"`, `"elem"`, …; empty without one).
+    pub unit: &'static str,
+    /// Extra columns, rendered after the standard ones by every sink.
+    pub fields: Vec<(&'static str, Field)>,
+}
+
+impl TimerRow {
+    /// Work units per second, when the row has both units and time.
+    fn rate_per_s(&self) -> Option<f64> {
+        (self.units > 0 && self.total_ns > 0)
+            .then(|| self.units as f64 / (self.total_ns as f64 / 1e9))
+    }
+}
+
+/// One histogram's log₂ buckets, each read once.
+#[derive(Clone, Debug, Default)]
+pub struct HistogramRow {
+    /// Probe name.
+    pub name: String,
+    /// Sample-unit label.
+    pub unit: &'static str,
+    /// Samples per log₂ bucket: bucket 0 holds the value 0, bucket `i`
+    /// holds `[2^(i-1), 2^i)`, the last bucket everything above.
+    pub buckets: Vec<u64>,
+    /// Sum of the samples.
+    pub sum: u64,
+}
+
+impl HistogramRow {
+    /// Number of samples (the bucket total).
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// `[lo, hi]` value range covered by bucket `i`.
+    fn bucket_range(i: usize) -> (u64, u64) {
+        match i {
+            0 => (0, 0),
+            _ if i == HIST_BUCKETS - 1 => (1u64 << (i - 1), u64::MAX),
+            _ => (1u64 << (i - 1), (1u64 << i) - 1),
         }
     }
-    line.push('}');
-    line
+
+    /// Mean of the samples (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            n => self.sum as f64 / n as f64,
+        }
+    }
+
+    /// The `q`-quantile (`q` in `[0,1]`) with linear interpolation inside
+    /// the hit bucket, so it is exact to within one octave; 0.0 when
+    /// empty. `quantile(0.99)` is the p99.
+    pub fn quantile(&self, q: f64) -> f64 {
+        let total = self.count();
+        if total == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        // Rank of the target sample, 1-based (ceil, so q=1.0 → the max).
+        let rank = ((q * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &in_bucket) in self.buckets.iter().enumerate() {
+            if in_bucket == 0 {
+                continue;
+            }
+            if seen + in_bucket >= rank {
+                let (lo, hi) = Self::bucket_range(i);
+                // Assume samples spread evenly across the bucket's range.
+                // The last bucket is open-ended (`hi == u64::MAX`), so
+                // interpolating inside it would explode the estimate; no
+                // single sample can exceed the recorded sum, so the sum is
+                // a tight upper bound when one outlier landed there.
+                let hi = if i == HIST_BUCKETS - 1 {
+                    self.sum.max(lo)
+                } else {
+                    hi
+                };
+                let into = (rank - seen) as f64 / in_bucket as f64;
+                return lo as f64 + (hi - lo) as f64 * into;
+            }
+            seen += in_bucket;
+        }
+        0.0
+    }
 }
 
-fn counter_json(name: &str, value: u64) -> String {
-    format!("{{\"counter\":{},\"value\":{value}}}", json_string(name))
+/// One point-in-time reading of every aggregate, built by [`snapshot`].
+/// Each sink renders it and computes nothing of its own, so JSON lines,
+/// the summary table and `/metrics` always report the same rows.
+#[derive(Clone, Debug, Default)]
+pub struct Snapshot {
+    /// Timers with at least one call: the registry's (span aggregates
+    /// included), then rows contributed by [`FlushHook`]s.
+    pub timers: Vec<TimerRow>,
+    /// Histograms with at least one sample.
+    pub histograms: Vec<HistogramRow>,
+    /// Counters `(name, value)`.
+    pub counters: Vec<(String, u64)>,
+    /// Gauges `(name, value)`.
+    pub gauges: Vec<(String, u64)>,
 }
 
-fn histogram_json(h: &Histogram) -> String {
-    format!(
-        "{{\"histogram\":{},\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1},\"unit\":{}}}",
-        json_string(h.name),
-        h.count(),
-        h.mean(),
-        h.quantile(0.50),
-        h.quantile(0.95),
-        h.quantile(0.99),
-        json_string(h.unit)
-    )
+impl Snapshot {
+    /// One JSON object per row: timers as `"span"` + `"elapsed_us"` +
+    /// `"count"` (+ `"units"`, `"unit"`, `"rate_per_s"`, and the row's
+    /// fields), histograms with quantiles, counters and gauges as
+    /// `"counter"` + `"value"`.
+    pub fn to_json_lines(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for t in &self.timers {
+            let mut line = format!(
+                "{{\"span\":{},\"elapsed_us\":{},\"count\":{}",
+                json_string(&t.name),
+                t.total_ns / 1_000,
+                t.count
+            );
+            if t.units > 0 {
+                line.push_str(&format!(
+                    ",\"units\":{},\"unit\":{}",
+                    t.units,
+                    json_string(t.unit)
+                ));
+            }
+            if let Some(rate) = t.rate_per_s() {
+                line.push_str(&format!(",\"rate_per_s\":{rate:.1}"));
+            }
+            push_json_fields(&mut line, &t.fields);
+            line.push('}');
+            out.push(line);
+        }
+        for h in &self.histograms {
+            out.push(format!(
+                "{{\"histogram\":{},\"count\":{},\"mean\":{:.1},\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1},\"unit\":{}}}",
+                json_string(&h.name),
+                h.count(),
+                h.mean(),
+                h.quantile(0.50),
+                h.quantile(0.95),
+                h.quantile(0.99),
+                json_string(h.unit)
+            ));
+        }
+        for (name, value) in self.counters.iter().chain(&self.gauges) {
+            out.push(format!(
+                "{{\"counter\":{},\"value\":{value}}}",
+                json_string(name)
+            ));
+        }
+        out
+    }
+
+    /// The human-readable aggregate table (what `summary` mode prints on
+    /// [`flush`]). A timer row's fields follow its columns as `key=value`.
+    pub fn to_summary(&self) -> String {
+        let mut out =
+            String::from("\n── ist-obs summary ──────────────────────────────────────────\n");
+        if !self.timers.is_empty() {
+            out.push_str(&format!(
+                "{:<36} {:>8} {:>12} {:>12} {:>16}\n",
+                "timer", "count", "total ms", "mean µs", "throughput"
+            ));
+            for t in &self.timers {
+                let total_ms = t.total_ns as f64 / 1e6;
+                let mean_us = t.total_ns as f64 / 1e3 / t.count.max(1) as f64;
+                let rate = t
+                    .rate_per_s()
+                    .map_or_else(|| "-".to_string(), |r| format!("{r:.3e} {}/s", t.unit));
+                out.push_str(&format!(
+                    "{:<36} {:>8} {total_ms:>12.3} {mean_us:>12.1} {rate:>16}",
+                    t.name, t.count
+                ));
+                for (key, value) in &t.fields {
+                    out.push_str(&format!(" {key}={}", json_value(value)));
+                }
+                out.push('\n');
+            }
+        }
+        if !self.histograms.is_empty() {
+            out.push_str(&format!(
+                "{:<36} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
+                "histogram", "count", "mean", "p50", "p95", "p99"
+            ));
+            for h in &self.histograms {
+                out.push_str(&format!(
+                    "{:<36} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
+                    format!("{} ({})", h.name, h.unit),
+                    h.count(),
+                    h.mean(),
+                    h.quantile(0.50),
+                    h.quantile(0.95),
+                    h.quantile(0.99)
+                ));
+            }
+        }
+        if !self.counters.is_empty() || !self.gauges.is_empty() {
+            out.push_str(&format!("{:<36} {:>8}\n", "counter", "value"));
+            for (name, value) in self.counters.iter().chain(&self.gauges) {
+                out.push_str(&format!("{name:<36} {value:>8}\n"));
+            }
+        }
+        out
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Flush hooks (other crates contribute report sections)
-// ---------------------------------------------------------------------------
-
-/// A report contribution registered by another crate (e.g. the autograd op
-/// profiler, tensor memory accounting). All members are plain `fn` pointers
-/// so hooks are `Copy` and callable without holding any obs lock.
+/// A contribution to every [`snapshot`], registered by another crate (the
+/// autograd op profiler, tensor memory accounting, the SLO monitor). Both
+/// members are plain `fn` pointers so hooks are `Copy` and callable
+/// without holding any obs lock.
 #[derive(Clone, Copy)]
 pub struct FlushHook {
     /// Unique hook name; re-registration under the same name is a no-op.
     pub name: &'static str,
-    /// Called before any report is rendered — push derived values into
-    /// gauges/counters here.
-    pub sync: fn(),
-    /// Appends JSON-object lines to `snapshot_json` / json-mode flush.
-    pub json_lines: fn(&mut Vec<String>),
-    /// Appends a section to the summary table.
-    pub summary: fn(&mut String),
+    /// Runs before the registry is read: push rows into the snapshot, or
+    /// refresh gauges derived from the hook's own state.
+    pub collect: fn(&mut Snapshot),
     /// Clears the hook's own aggregates (called by [`reset`]).
     pub reset: fn(),
 }
@@ -857,50 +928,53 @@ pub fn register_flush_hook(hook: FlushHook) {
     }
 }
 
-pub(crate) fn hooks_snapshot() -> Vec<FlushHook> {
+fn hooks_snapshot() -> Vec<FlushHook> {
     lock_tolerant(hooks()).clone()
 }
 
-// ---------------------------------------------------------------------------
-// Flush & summary
-// ---------------------------------------------------------------------------
-
-/// Aggregate JSON object strings for every timer, counter and gauge with
-/// recorded activity — for embedding in bespoke reports (the bench
-/// binaries' `BENCH_*.json`). Registered [`FlushHook`]s contribute their
-/// own lines at the end.
-pub fn snapshot_json() -> Vec<String> {
-    let hooks = hooks_snapshot();
-    for h in &hooks {
-        (h.sync)();
+/// Reads every aggregate once. The only code that runs the flush hooks'
+/// `collect` or reads the registry for reporting. Hooks run first, with no
+/// obs lock held, because refreshing a gauge may register it (which takes
+/// the registry lock); their rows follow the registry's. Timers without
+/// calls and histograms without samples are left out, in every sink.
+pub fn snapshot() -> Snapshot {
+    let mut hooked = Snapshot::default();
+    for h in hooks_snapshot() {
+        (h.collect)(&mut hooked);
     }
-    let mut out = Vec::new();
-    {
-        let reg = lock_tolerant(registry());
-        for t in reg.timers.iter().filter(|t| t.count() > 0) {
-            out.push(timer_json(t));
-        }
-        for h in reg.histograms.iter().filter(|h| h.count() > 0) {
-            out.push(histogram_json(h));
-        }
-        for c in &reg.counters {
-            out.push(counter_json(c.name, c.get()));
-        }
-        for g in &reg.gauges {
-            out.push(counter_json(g.name, g.get()));
-        }
+    let reg = lock_tolerant(registry());
+    let timers = reg.timers.iter().map(|t| t.row()).chain(hooked.timers);
+    let histograms = reg.histograms.iter().map(|h| h.row());
+    let counters = reg.counters.iter().map(|c| (c.name.to_string(), c.get()));
+    let gauges = reg.gauges.iter().map(|g| (g.name.to_string(), g.get()));
+    Snapshot {
+        timers: timers.filter(|t| t.count > 0).collect(),
+        histograms: histograms
+            .chain(hooked.histograms)
+            .filter(|h| h.count() > 0)
+            .collect(),
+        counters: counters.chain(hooked.counters).collect(),
+        gauges: gauges.chain(hooked.gauges).collect(),
     }
-    for h in &hooks {
-        (h.json_lines)(&mut out);
-    }
-    out
 }
 
-/// Emits end-of-run output: in `json` mode, one aggregate line per timer
-/// plus one per counter/gauge (spans were already emitted as they closed);
-/// in `summary` mode, a human-readable table on stderr. Also writes the
-/// chrome-trace file when tracing is on ([`trace::flush`]) — tracing is
-/// independent of the metrics mode. Call once at the end of a binary.
+/// [`snapshot`] as JSON object strings, one per row — for embedding in
+/// bespoke reports (the bench binaries' `BENCH_*.json`).
+pub fn snapshot_json() -> Vec<String> {
+    snapshot().to_json_lines()
+}
+
+/// [`snapshot`] as the summary table (what `summary` mode prints on
+/// [`flush`]).
+pub fn render_summary() -> String {
+    snapshot().to_summary()
+}
+
+/// Emits end-of-run output: in `json` mode, one aggregate line per
+/// snapshot row (span events were already emitted as they closed); in
+/// `summary` mode, the table on stderr. Also writes the chrome-trace file
+/// when tracing is on ([`trace::flush`]) — tracing is independent of the
+/// metrics mode. Call once at the end of a binary.
 pub fn flush() {
     match mode() {
         // Collect aggregates for live scrapers but emits nothing at exit.
@@ -917,91 +991,12 @@ pub fn flush() {
     trace::flush();
 }
 
-/// Renders the aggregate table (what `summary` mode prints on [`flush`]).
-/// Registered [`FlushHook`]s append their sections at the end.
-pub fn render_summary() -> String {
-    let hooks = hooks_snapshot();
-    for h in &hooks {
-        (h.sync)();
-    }
-    let reg = lock_tolerant(registry());
-    let mut out = String::from("\n── ist-obs summary ──────────────────────────────────────────\n");
-    if !reg.spans.is_empty() {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>12} {:>12}\n",
-            "span", "count", "total ms", "mean µs"
-        ));
-        for (name, stat) in reg.spans.iter() {
-            let total_ms = stat.total_ns as f64 / 1e6;
-            let mean_us = stat.total_ns as f64 / 1e3 / stat.count.max(1) as f64;
-            out.push_str(&format!(
-                "{name:<28} {:>8} {total_ms:>12.3} {mean_us:>12.1}\n",
-                stat.count
-            ));
-        }
-    }
-    let timers: Vec<&&Timer> = reg.timers.iter().filter(|t| t.count() > 0).collect();
-    if !timers.is_empty() {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>12} {:>12} {:>16}\n",
-            "timer", "count", "total ms", "mean µs", "throughput"
-        ));
-        for t in timers {
-            let total_ms = t.total_ns() as f64 / 1e6;
-            let mean_us = t.total_ns() as f64 / 1e3 / t.count().max(1) as f64;
-            let rate = if t.units() > 0 && t.total_ns() > 0 {
-                let per_s = t.units() as f64 / (t.total_ns() as f64 / 1e9);
-                format!("{:.3e} {}/s", per_s, t.unit)
-            } else {
-                "-".to_string()
-            };
-            out.push_str(&format!(
-                "{:<28} {:>8} {total_ms:>12.3} {mean_us:>12.1} {rate:>16}\n",
-                t.name,
-                t.count()
-            ));
-        }
-    }
-    let hists: Vec<&&Histogram> = reg.histograms.iter().filter(|h| h.count() > 0).collect();
-    if !hists.is_empty() {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-            "histogram", "count", "mean", "p50", "p95", "p99"
-        ));
-        for h in hists {
-            out.push_str(&format!(
-                "{:<28} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
-                format!("{} ({})", h.name, h.unit),
-                h.count(),
-                h.mean(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            ));
-        }
-    }
-    if !reg.counters.is_empty() || !reg.gauges.is_empty() {
-        out.push_str(&format!("{:<28} {:>8}\n", "counter", "value"));
-        for c in &reg.counters {
-            out.push_str(&format!("{:<28} {:>8}\n", c.name, c.get()));
-        }
-        for g in &reg.gauges {
-            out.push_str(&format!("{:<28} {:>8}\n", g.name, g.get()));
-        }
-    }
-    drop(reg);
-    for h in &hooks {
-        (h.summary)(&mut out);
-    }
-    out
-}
-
-/// Clears every aggregate (counters, gauges, timers, span stats, and
-/// registered hooks' own state). Intended for tests that assert on freshly
-/// collected values.
+/// Clears every aggregate (counters, gauges, timers — span aggregates
+/// included — histograms, and registered hooks' own state). Intended for
+/// tests that assert on freshly collected values.
 pub fn reset() {
     {
-        let mut reg = lock_tolerant(registry());
+        let reg = lock_tolerant(registry());
         for c in &reg.counters {
             c.value.store(0, Ordering::Relaxed);
         }
@@ -1014,21 +1009,17 @@ pub fn reset() {
             t.units.store(0, Ordering::Relaxed);
         }
         for h in &reg.histograms {
-            h.count.store(0, Ordering::Relaxed);
             h.sum.store(0, Ordering::Relaxed);
             for b in &h.buckets {
                 b.store(0, Ordering::Relaxed);
             }
         }
-        reg.spans.clear();
     }
     for h in hooks_snapshot() {
         (h.reset)();
     }
 }
 
-/// The metrics mode and trace state are process-global; test code that
-/// flips either must hold this lock to avoid cross-test interference.
 #[cfg(test)]
 pub(crate) fn test_mode_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -1103,7 +1094,7 @@ mod tests {
         assert_eq!(C.get(), 5);
         assert_eq!(G.get(), 9);
         assert_eq!(T.count(), 1);
-        assert_eq!(T.units(), 1000);
+        assert_eq!(T.row().units, 1000);
         let table = render_summary();
         assert!(table.contains("test.counter"), "{table}");
         assert!(table.contains("test.timer"), "{table}");
@@ -1179,20 +1170,21 @@ mod tests {
             H.record(v);
         }
         assert_eq!(H.count(), 1000);
-        assert!((H.mean() - 500.5).abs() < 1e-9);
+        let row = H.row();
+        assert!((row.mean() - 500.5).abs() < 1e-9);
         for (q, truth) in [(0.50, 500.0), (0.95, 950.0), (0.99, 990.0)] {
-            let est = H.quantile(q);
+            let est = row.quantile(q);
             assert!(
                 est >= truth / 2.0 && est <= truth * 2.0,
                 "q={q}: est {est} vs true {truth}"
             );
         }
-        assert!(H.quantile(0.99).is_finite());
+        assert!(row.quantile(0.99).is_finite());
         let table = render_summary();
         assert!(table.contains("test.hist"), "{table}");
         reset();
         assert_eq!(H.count(), 0);
-        assert_eq!(H.quantile(0.5), 0.0);
+        assert_eq!(H.row().quantile(0.5), 0.0);
         set_mode(Mode::Off);
     }
 
@@ -1233,7 +1225,7 @@ mod tests {
         // recorded sum — here, the sample's own value.
         let huge = 1u64 << 62;
         H.record(huge);
-        let est = H.quantile(1.0);
+        let est = H.row().quantile(1.0);
         assert!(
             (est - huge as f64).abs() <= huge as f64 * 1e-9,
             "single-sample max must be ~exact, got {est} vs {huge}"
@@ -1241,7 +1233,7 @@ mod tests {
         // A second small sample raises the sum slightly; the top-bucket
         // bound must still stay within the sum, not the octave above.
         H.record(100);
-        let est = H.quantile(1.0);
+        let est = H.row().quantile(1.0);
         assert!(
             est >= huge as f64 && est <= (huge + 100) as f64,
             "max estimate {est} escaped the sum bound"
@@ -1259,7 +1251,7 @@ mod tests {
         assert_eq!(Histogram::bucket_of(3), 2);
         assert_eq!(Histogram::bucket_of(4), 3);
         assert_eq!(Histogram::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        let (lo, hi) = Histogram::bucket_range(HIST_BUCKETS - 1);
+        let (lo, hi) = HistogramRow::bucket_range(HIST_BUCKETS - 1);
         assert!(lo < hi);
     }
 

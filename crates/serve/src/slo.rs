@@ -245,9 +245,7 @@ fn sync_gauges() {
 pub(crate) fn install(monitor: &SloMonitor) {
     ist_obs::register_flush_hook(ist_obs::FlushHook {
         name: "serve.slo",
-        sync: sync_gauges,
-        json_lines: |_| {},
-        summary: |_| {},
+        collect: |_| sync_gauges(),
         reset: || {},
     });
     *current().lock().unwrap_or_else(|p| p.into_inner()) = Some(Arc::clone(&monitor.state));

@@ -1,11 +1,10 @@
 //! Tensor memory accounting.
 //!
 //! Every [`crate::Tensor`] allocation and drop reports its buffer size
-//! here, giving live/peak tensor bytes plus allocation counts. The numbers
-//! surface through `ist-obs` (gauges `tensor.live_bytes` /
-//! `tensor.peak_bytes`, counters `tensor.allocs` / `tensor.alloc_bytes`)
-//! via a registered flush hook, and the trainer stamps the per-epoch peak
-//! into its `train.epoch` span.
+//! here, giving live/peak tensor bytes plus allocation counts. A flush hook
+//! adds them to every `ist-obs` snapshot (gauges `tensor.live_bytes` /
+//! `tensor.peak_bytes`, counters `tensor.allocs` / `tensor.alloc_bytes`),
+//! and the trainer stamps the per-epoch peak into its `train.epoch` span.
 //!
 //! ## Cost model
 //!
@@ -18,7 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use ist_obs::{Counter, FlushHook, Gauge};
+use ist_obs::{FlushHook, Snapshot};
 
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -26,11 +25,6 @@ static EPOCH_PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static HOOKED: AtomicBool = AtomicBool::new(false);
-
-static LIVE_GAUGE: Gauge = Gauge::new("tensor.live_bytes");
-static PEAK_GAUGE: Gauge = Gauge::new("tensor.peak_bytes");
-static ALLOCS: Counter = Counter::new("tensor.allocs");
-static ALLOCS_BYTES: Counter = Counter::new("tensor.alloc_bytes");
 
 #[inline]
 fn profiling() -> bool {
@@ -63,9 +57,7 @@ fn track_alloc(bytes: u64) {
     if !HOOKED.swap(true, Ordering::Relaxed) {
         ist_obs::register_flush_hook(FlushHook {
             name: "tensor.mem",
-            sync,
-            json_lines: |_| {},
-            summary: |_| {},
+            collect,
             reset,
         });
     }
@@ -76,19 +68,17 @@ fn track_alloc(bytes: u64) {
     ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
 }
 
-/// Publishes the current accounting state into the obs gauges/counters
-/// (runs automatically before every obs snapshot or summary render).
-fn sync() {
-    LIVE_GAUGE.set(LIVE_BYTES.load(Ordering::Relaxed));
-    PEAK_GAUGE.set(PEAK_BYTES.load(Ordering::Relaxed));
-    let n = ALLOC_COUNT.swap(0, Ordering::Relaxed);
-    if n > 0 {
-        ALLOCS.add(n);
-    }
-    let b = ALLOC_BYTES.swap(0, Ordering::Relaxed);
-    if b > 0 {
-        ALLOCS_BYTES.add(b);
-    }
+/// Adds the accounting state to an obs snapshot.
+fn collect(snap: &mut Snapshot) {
+    let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    snap.gauges.extend([
+        ("tensor.live_bytes".into(), read(&LIVE_BYTES)),
+        ("tensor.peak_bytes".into(), read(&PEAK_BYTES)),
+    ]);
+    snap.counters.extend([
+        ("tensor.allocs".into(), read(&ALLOC_COUNT)),
+        ("tensor.alloc_bytes".into(), read(&ALLOC_BYTES)),
+    ]);
 }
 
 fn reset() {
