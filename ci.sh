@@ -64,9 +64,14 @@ run_clippy() {
 }
 
 run_bench() {
-    stage "bench binaries compile: bench_gemm + bench_diff"
+    stage "benchmarks build and test: bench_gemm + bench_diff + bench_e2e"
     # The GEMM sweep backs BENCH_gemm.json; bench_diff gates it.
     cargo build --release --locked -p ist-bench --bin bench_gemm --bin bench_diff
+    # bench_e2e (the BENCHMARK.json harness) is its own workspace, built
+    # --locked --offline against the library crates; a library API or
+    # [dependencies] change that breaks it must fail here, not only in the
+    # benchmark pipeline.
+    cargo test --release --locked --offline --manifest-path bench_e2e/Cargo.toml
 }
 
 run_determinism() {

@@ -334,21 +334,27 @@ impl Isrec {
     ) -> (Var, Option<RawTrace>) {
         let x = self.encode(ctx, batch);
         let (x_next, trace) = self.intent_pipeline(ctx, &x, collect);
-        // Score against real items only (drop the pad row of the table).
-        let table = self.item_emb.full(ctx);
-        let mut items = ops::slice_rows(&table, 0, self.num_items);
-        if self.cfg.tie_concept_output {
-            // Tie the output representation to Eq. (1): v_i + Σ_j c_j, so
-            // intent-aligned predictions directly boost concept-matching
-            // items.
-            let cbags = ops::bag_select_sum(
-                &self.concept_emb.full(ctx),
-                &self.item_concepts[..self.num_items],
-            );
-            items = ops::add(&items, &cbags);
-        }
+        let items = self.output_item_table(ctx);
         let logits = ops::matmul(&x_next, &ops::transpose(&items));
         (logits, trace)
+    }
+
+    /// The Eq.-12 output item table `[num_items, d]`: the real items' rows
+    /// of the item embedding (the pad row dropped), plus their summed
+    /// concept embeddings when `tie_concept_output` is set.
+    fn output_item_table(&self, ctx: &Ctx) -> Var {
+        let table = self.item_emb.full(ctx);
+        let items = ops::slice_rows(&table, 0, self.num_items);
+        if !self.cfg.tie_concept_output {
+            return items;
+        }
+        // Tie the output representation to Eq. (1): v_i + Σ_j c_j, so
+        // intent-aligned predictions directly boost concept-matching items.
+        let cbags = ops::bag_select_sum(
+            &self.concept_emb.full(ctx),
+            &self.item_concepts[..self.num_items],
+        );
+        ops::add(&items, &cbags)
     }
 
     /// No-tape inference forward for online serving: encodes each history
@@ -400,17 +406,7 @@ impl Isrec {
     /// [`Isrec::infer_last_repr`] rows with one GEMM. Recomputed once per
     /// model load/reload, never per request.
     pub fn output_item_table_t(&self) -> Tensor {
-        let ctx = Ctx::inference();
-        let table = self.item_emb.full(&ctx);
-        let mut items = ops::slice_rows(&table, 0, self.num_items);
-        if self.cfg.tie_concept_output {
-            let cbags = ops::bag_select_sum(
-                &self.concept_emb.full(&ctx),
-                &self.item_concepts[..self.num_items],
-            );
-            items = ops::add(&items, &cbags);
-        }
-        ops::transpose(&items).value()
+        ops::transpose(&self.output_item_table(&Ctx::inference())).value()
     }
 
     /// Pad item id (`num_items`).

@@ -67,7 +67,7 @@ pub fn dropout(ctx: &mut Ctx, x: &Var, p: f32) -> Var {
     // Sampling the mask is part of the op: attribute it with the `mul`.
     let _p = ist_autograd::profile::fwd("dropout");
     let keep = 1.0 - p;
-    let mask = ist_tensor::rng::bernoulli(x.value().shape(), keep, &mut ctx.rng);
+    let mask = ist_tensor::rng::bernoulli(&x.shape(), keep, &mut ctx.rng);
     let mask = t::scale(&mask, 1.0 / keep);
     ist_autograd::ops::mul(x, &ctx.tape.constant(mask))
 }

@@ -7,7 +7,7 @@
 //! through the runtime-dispatched SIMD kernels in [`crate::simd`].
 
 use crate::pool;
-use crate::shape::{broadcast_shapes, broadcast_source_index};
+use crate::shape::{broadcast_shapes, broadcast_walk, num_elements};
 use crate::simd;
 use crate::Tensor;
 
@@ -53,9 +53,9 @@ pub fn map(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
 ///
 /// Panics when the shapes are not broadcast-compatible.
 pub fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+    let (xs, ys) = (a.data(), b.data());
     if a.shape() == b.shape() {
         // Hot path: identical shapes need no index arithmetic.
-        let (xs, ys) = (a.data(), b.data());
         let mut data = vec![0.0f32; xs.len()];
         fill_chunks(&mut data, &|base, out| {
             for (i, o) in out.iter_mut().enumerate() {
@@ -64,21 +64,6 @@ pub fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Te
         });
         return Tensor::from_vec(data, a.shape());
     }
-    // Fast paths for the two broadcast patterns every layer hits: a
-    // trailing-suffix operand (bias rows: [..., n] op [n]) and a
-    // last-axis-1 operand (gating: [..., n] op [..., 1]).
-    if let Some(out) = suffix_broadcast(a, b, &f, false) {
-        return out;
-    }
-    if let Some(out) = suffix_broadcast(b, a, &f, true) {
-        return out;
-    }
-    if let Some(out) = lastdim1_broadcast(a, b, &f, false) {
-        return out;
-    }
-    if let Some(out) = lastdim1_broadcast(b, a, &f, true) {
-        return out;
-    }
     let out_dims = broadcast_shapes(a.shape(), b.shape()).unwrap_or_else(|| {
         panic!(
             "incompatible shapes for zip_map: {:?} vs {:?}",
@@ -86,62 +71,36 @@ pub fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Te
             b.shape()
         )
     });
-    let mut data = vec![0.0f32; out_dims.iter().product()];
-    for (flat, slot) in data.iter_mut().enumerate() {
-        let ia = broadcast_source_index(flat, &out_dims, a.shape());
-        let ib = broadcast_source_index(flat, &out_dims, b.shape());
-        *slot = f(a.data()[ia], b.data()[ib]);
-    }
+    let mut data = vec![0.0f32; num_elements(&out_dims)];
+    broadcast_walk(
+        &out_dims,
+        [a.shape(), b.shape()],
+        |o, n, [(ia, sa), (ib, sb)]| {
+            // One loop per step pattern, so each vectorises.
+            let out = &mut data[o..o + n];
+            match (sa, sb) {
+                (1, 1) => {
+                    for ((o, &x), &y) in out.iter_mut().zip(&xs[ia..]).zip(&ys[ib..]) {
+                        *o = f(x, y);
+                    }
+                }
+                (1, _) => {
+                    let y = ys[ib];
+                    for (o, &x) in out.iter_mut().zip(&xs[ia..]) {
+                        *o = f(x, y);
+                    }
+                }
+                (_, 1) => {
+                    let x = xs[ia];
+                    for (o, &y) in out.iter_mut().zip(&ys[ib..]) {
+                        *o = f(x, y);
+                    }
+                }
+                _ => out.fill(f(xs[ia], ys[ib])),
+            }
+        },
+    );
     Tensor::from_vec(data, &out_dims)
-}
-
-/// `big: [..., suffix…] op small: [suffix…]` where `small`'s shape is a
-/// suffix of `big`'s — the bias-broadcast pattern. `swapped` flips the
-/// argument order fed to `f`.
-fn suffix_broadcast(
-    big: &Tensor,
-    small: &Tensor,
-    f: &impl Fn(f32, f32) -> f32,
-    swapped: bool,
-) -> Option<Tensor> {
-    let (bs, ss) = (big.shape(), small.shape());
-    if ss.is_empty() || ss.len() >= bs.len() || !bs.ends_with(ss) {
-        return None;
-    }
-    let n = small.len();
-    let mut data = Vec::with_capacity(big.len());
-    for chunk in big.data().chunks_exact(n) {
-        for (&x, &y) in chunk.iter().zip(small.data()) {
-            data.push(if swapped { f(y, x) } else { f(x, y) });
-        }
-    }
-    Some(Tensor::from_vec(data, bs))
-}
-
-/// `big: [..., n] op small: [..., 1]` with identical leading dims — the
-/// row-gate pattern used by intent masking.
-fn lastdim1_broadcast(
-    big: &Tensor,
-    small: &Tensor,
-    f: &impl Fn(f32, f32) -> f32,
-    swapped: bool,
-) -> Option<Tensor> {
-    let (bs, ss) = (big.shape(), small.shape());
-    if bs.len() != ss.len() || bs.is_empty() {
-        return None;
-    }
-    let r = bs.len();
-    if ss[r - 1] != 1 || bs[..r - 1] != ss[..r - 1] {
-        return None;
-    }
-    let n = bs[r - 1];
-    let mut data = Vec::with_capacity(big.len());
-    for (row, &y) in big.data().chunks_exact(n).zip(small.data()) {
-        for &x in row {
-            data.push(if swapped { f(y, x) } else { f(x, y) });
-        }
-    }
-    Some(Tensor::from_vec(data, bs))
 }
 
 /// `a + b` with broadcasting.

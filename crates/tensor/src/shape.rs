@@ -67,50 +67,78 @@ pub fn num_elements(dims: &[usize]) -> usize {
 /// ```
 pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
     let rank = a.len().max(b.len());
-    let mut out = vec![0usize; rank];
-    for i in 0..rank {
-        // Right-aligned axis extents; missing axes behave like extent 1.
-        let da = if i < rank - a.len() {
-            1
-        } else {
-            a[i - (rank - a.len())]
-        };
-        let db = if i < rank - b.len() {
-            1
-        } else {
-            b[i - (rank - b.len())]
-        };
-        if da == db || db == 1 {
-            out[i] = da.max(db);
-        } else if da == 1 {
-            out[i] = db;
-        } else {
-            return None;
-        }
-    }
-    Some(out)
+    // Right-aligned axis extents; missing axes behave like extent 1.
+    let extent = |d: &[usize], i: usize| (i + d.len()).checked_sub(rank).map_or(1, |j| d[j]);
+    (0..rank)
+        .map(|i| match (extent(a, i), extent(b, i)) {
+            // An extent-1 axis takes the other's extent, 0 included.
+            (da, db) if db == 1 || da == db => Some(da),
+            (1, db) => Some(db),
+            _ => None,
+        })
+        .collect()
 }
 
-/// Maps a flat index in the broadcast output shape to the flat index in an
-/// input with shape `in_dims` (right-aligned, broadcast axes contribute 0).
-pub fn broadcast_source_index(flat: usize, out_dims: &[usize], in_dims: &[usize]) -> usize {
-    let out_strides = strides_for(out_dims);
-    let in_strides = strides_for(in_dims);
-    let offset = out_dims.len() - in_dims.len();
-    let mut src = 0usize;
-    let mut rem = flat;
-    for (axis, (&extent, &stride)) in out_dims.iter().zip(out_strides.iter()).enumerate() {
-        let idx = rem / stride;
-        rem %= stride;
-        debug_assert!(idx < extent);
-        if axis >= offset {
-            let in_axis = axis - offset;
-            if in_dims[in_axis] != 1 {
-                src += idx * in_strides[in_axis];
+/// Visits the output shape `out` in ascending flat order, one run along the
+/// innermost axis at a time, for operands of shapes `operands` broadcast to
+/// it (right-aligned NumPy rules). For each run `visit` receives the run's
+/// output offset, its length, and each operand's `(start, step)`: the flat
+/// index of the operand element under the run's first output element, and 1,
+/// or 0 when that operand is broadcast along the innermost axis.
+///
+/// The single broadcast traversal behind `zip_map`, `broadcast_to` and
+/// `reduce_to`: operand strides are computed once per call, never per
+/// element. A zero-size output visits nothing; a rank-0 output is one run of
+/// length 1. Panics when an operand does not broadcast to `out`.
+pub(crate) fn broadcast_walk<const N: usize>(
+    out: &[usize],
+    operands: [&[usize]; N],
+    mut visit: impl FnMut(usize, usize, [(usize, usize); N]),
+) {
+    let total = num_elements(out);
+    if total == 0 {
+        return;
+    }
+    // Each operand's stride along each output axis; 0 where it broadcasts.
+    let strides = operands.map(|dims| {
+        assert!(
+            broadcast_shapes(dims, out).as_deref() == Some(out),
+            "cannot broadcast {dims:?} to {out:?}"
+        );
+        let lead = out.len() - dims.len();
+        let own = strides_for(dims);
+        (0..out.len())
+            .map(|axis| match axis.checked_sub(lead) {
+                Some(i) if dims[i] != 1 => own[i],
+                _ => 0,
+            })
+            .collect::<Vec<usize>>()
+    });
+    let len = out.last().copied().unwrap_or(1);
+    let outer = &out[..out.len().saturating_sub(1)];
+    let mut idx = vec![0usize; outer.len()];
+    let mut starts = [0usize; N];
+    for run in (0..total).step_by(len) {
+        visit(
+            run,
+            len,
+            std::array::from_fn(|k| (starts[k], strides[k].last().copied().unwrap_or(0))),
+        );
+        // Odometer step over the outer axes, innermost first.
+        for axis in (0..outer.len()).rev() {
+            idx[axis] += 1;
+            for (start, s) in starts.iter_mut().zip(&strides) {
+                *start += s[axis];
+            }
+            if idx[axis] < outer[axis] {
+                break;
+            }
+            idx[axis] = 0;
+            for (start, s) in starts.iter_mut().zip(&strides) {
+                *start -= s[axis] * outer[axis];
             }
         }
     }
-    src
 }
 
 /// Validates that `dims` describes the same number of elements as `len`.
@@ -144,27 +172,32 @@ mod tests {
         assert_eq!(broadcast_shapes(&[3], &[2, 3]), Some(vec![2, 3]));
         assert_eq!(broadcast_shapes(&[], &[2, 3]), Some(vec![2, 3]));
         assert_eq!(broadcast_shapes(&[4, 2], &[3]), None);
+        assert_eq!(broadcast_shapes(&[0, 3], &[3]), Some(vec![0, 3]));
+        assert_eq!(broadcast_shapes(&[1], &[0]), Some(vec![0]));
     }
 
     #[test]
-    fn broadcast_source_index_maps_correctly() {
-        // out [2,3], in [1,3]: rows collapse.
-        let out = [2, 3];
-        let inp = [1, 3];
-        let idx: Vec<usize> = (0..6)
-            .map(|f| broadcast_source_index(f, &out, &inp))
-            .collect();
-        assert_eq!(idx, vec![0, 1, 2, 0, 1, 2]);
-        // in [3]: right-aligned, same result.
-        let idx: Vec<usize> = (0..6)
-            .map(|f| broadcast_source_index(f, &out, &[3]))
-            .collect();
-        assert_eq!(idx, vec![0, 1, 2, 0, 1, 2]);
-        // in [2,1]: columns collapse.
-        let idx: Vec<usize> = (0..6)
-            .map(|f| broadcast_source_index(f, &out, &[2, 1]))
-            .collect();
-        assert_eq!(idx, vec![0, 0, 0, 1, 1, 1]);
+    fn walk_runs_in_flat_order() {
+        let mut runs = Vec::new();
+        broadcast_walk(&[2, 3], [&[2, 1][..], &[3]], |o, n, ops| {
+            runs.push((o, n, ops))
+        });
+        assert_eq!(
+            runs,
+            vec![(0, 3, [(0, 0), (0, 1)]), (3, 3, [(1, 0), (0, 1)])]
+        );
+        let mut runs = Vec::new();
+        broadcast_walk(&[], [&[][..]], |o, n, ops| runs.push((o, n, ops)));
+        assert_eq!(runs, vec![(0, 1, [(0, 0)])]);
+        broadcast_walk(&[2, 0], [&[1][..]], |_, _, _| {
+            panic!("zero-size output has no runs")
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot broadcast")]
+    fn walk_rejects_incompatible_operand() {
+        broadcast_walk(&[2, 3], [&[2][..]], |_, _, _| {});
     }
 
     #[test]

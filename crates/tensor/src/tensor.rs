@@ -3,7 +3,7 @@
 //! concatenation, slicing).
 
 use crate::mem;
-use crate::shape::{check_reshape, num_elements, strides_for};
+use crate::shape::{broadcast_walk, check_reshape, num_elements, strides_for};
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
@@ -309,57 +309,39 @@ impl Tensor {
         if self.shape == dims {
             return self.clone();
         }
-        let out_len = num_elements(dims);
-        let mut data = vec![0.0f32; out_len];
-        // Fast path: broadcasting a row vector [n] or [1, n] over [m, n].
-        if dims.len() == 2 && (self.shape == [dims[1]] || self.shape == [1, dims[1]]) {
-            for r in 0..dims[0] {
-                data[r * dims[1]..(r + 1) * dims[1]].copy_from_slice(&self.data);
+        let mut data = vec![0.0f32; num_elements(dims)];
+        broadcast_walk(dims, [&self.shape], |o, n, [(s, step)]| {
+            let out = &mut data[o..o + n];
+            if step == 1 {
+                out.copy_from_slice(&self.data[s..s + n]);
+            } else {
+                out.fill(self.data[s]);
             }
-            return Tensor::tracked(data, dims.to_vec());
-        }
-        for (flat, slot) in data.iter_mut().enumerate() {
-            let src = crate::shape::broadcast_source_index(flat, dims, &self.shape);
-            *slot = self.data[src];
-        }
+        });
         Tensor::tracked(data, dims.to_vec())
     }
 
     /// Sums a tensor that was broadcast from `orig_dims` back down to
     /// `orig_dims` (the adjoint of [`Tensor::broadcast_to`]).
+    ///
+    /// Each output element starts at +0.0 and adds its contributions in
+    /// ascending flat index of `self`, whatever the broadcast pattern.
     pub fn reduce_to(&self, orig_dims: &[usize]) -> Tensor {
         if self.shape == orig_dims {
             return self.clone();
         }
-        // Fast path: suffix reduction ([..., suffix…] → [suffix…]).
-        if !orig_dims.is_empty()
-            && orig_dims.len() < self.shape.len()
-            && self.shape.ends_with(orig_dims)
-        {
-            let n = crate::shape::num_elements(orig_dims);
-            let mut out = vec![0.0f32; n];
-            for chunk in self.data.chunks_exact(n) {
-                for (o, v) in out.iter_mut().zip(chunk) {
-                    *o += v;
+        let mut out = vec![0.0f32; num_elements(orig_dims)];
+        broadcast_walk(&self.shape, [orig_dims], |o, n, [(s, step)]| {
+            let src = &self.data[o..o + n];
+            if step == 1 {
+                for (acc, v) in out[s..s + n].iter_mut().zip(src) {
+                    *acc += v;
                 }
+            } else {
+                out[s] = src.iter().fold(out[s], |acc, v| acc + v);
             }
-            return Tensor::tracked(out, orig_dims.to_vec());
-        }
-        // Fast path: last-axis collapse ([..., n] → [..., 1]).
-        if orig_dims.len() == self.shape.len()
-            && orig_dims.last() == Some(&1)
-            && orig_dims[..orig_dims.len() - 1] == self.shape[..self.shape.len() - 1]
-        {
-            let n = *self.shape.last().expect("non-empty");
-            let data: Vec<f32> = self.data.chunks_exact(n).map(|c| c.iter().sum()).collect();
-            return Tensor::tracked(data, orig_dims.to_vec());
-        }
-        let mut out = Tensor::zeros(orig_dims);
-        for (flat, v) in self.data.iter().enumerate() {
-            let src = crate::shape::broadcast_source_index(flat, &self.shape, orig_dims);
-            out.data[src] += v;
-        }
-        out
+        });
+        Tensor::tracked(out, orig_dims.to_vec())
     }
 
     /// Frobenius / L2 norm of the whole tensor.
@@ -434,6 +416,19 @@ mod tests {
         assert_eq!(r.data(), &[4., 4., 4.]);
         let r2 = Tensor::ones(&[4, 3]).reduce_to(&[4, 1]);
         assert_eq!(r2.data(), &[3., 3., 3., 3.]);
+    }
+
+    #[test]
+    fn reduce_starts_from_positive_zero_for_every_pattern() {
+        let neg = Tensor::from_vec(vec![-0.0; 6], &[2, 3]);
+        for dims in [&[2, 1][..], &[3], &[1, 3], &[1, 1]] {
+            let r = neg.reduce_to(dims);
+            assert!(
+                r.data().iter().all(|v| v.to_bits() == 0.0f32.to_bits()),
+                "reduce_to({dims:?}) gave {:?}",
+                r.data()
+            );
+        }
     }
 
     #[test]

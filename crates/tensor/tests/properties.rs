@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor algebra (proptest).
 
 use ist_tensor::rng::{uniform, SeedRng, SeedRngExt as _};
-use ist_tensor::{broadcast_shapes, matmul, ops, reduce, Tensor};
+use ist_tensor::{broadcast_shapes, matmul, ops, reduce, strides_for, Tensor};
 use proptest::prelude::*;
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -13,8 +13,153 @@ fn tensor_of(dims: &[usize], seed: u64) -> Tensor {
     uniform(dims, -2.0, 2.0, &mut rng)
 }
 
+/// Per-element reference for the broadcast walk: maps a flat index of the
+/// output `out_dims` to the flat index of the operand element of shape
+/// `in_dims` (right-aligned, broadcast axes contribute 0) that it reads.
+fn broadcast_source_index(flat: usize, out_dims: &[usize], in_dims: &[usize]) -> usize {
+    let out_strides = strides_for(out_dims);
+    let in_strides = strides_for(in_dims);
+    let offset = out_dims.len() - in_dims.len();
+    let mut src = 0usize;
+    let mut rem = flat;
+    for (axis, (&extent, &stride)) in out_dims.iter().zip(out_strides.iter()).enumerate() {
+        let idx = rem / stride;
+        rem %= stride;
+        assert!(idx < extent);
+        if axis >= offset {
+            let in_axis = axis - offset;
+            if in_dims[in_axis] != 1 {
+                src += idx * in_strides[in_axis];
+            }
+        }
+    }
+    src
+}
+
+/// Random values with every third one a negative zero, so a reduction's
+/// starting value shows in its bits.
+fn values_of(dims: &[usize], seed: u64) -> Tensor {
+    let mut t = tensor_of(dims, seed);
+    for v in t.data_mut().iter_mut().step_by(3) {
+        *v = -0.0;
+    }
+    t
+}
+
+fn bits(data: &[f32]) -> Vec<u32> {
+    data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `zip_map` (both argument orders), `broadcast_to` and `reduce_to` agree
+/// bitwise with per-element loops over [`broadcast_source_index`].
+fn walk_matches_reference(a: &Tensor, b: &Tensor) -> Result<(), TestCaseError> {
+    let f = |x: f32, y: f32| x - 2.0 * y;
+    let out = broadcast_shapes(a.shape(), b.shape()).expect("compatible shapes");
+    let n: usize = out.iter().product();
+    for (x, y) in [(a, b), (b, a)] {
+        let want: Vec<f32> = (0..n)
+            .map(|i| {
+                let ix = broadcast_source_index(i, &out, x.shape());
+                let iy = broadcast_source_index(i, &out, y.shape());
+                f(x.data()[ix], y.data()[iy])
+            })
+            .collect();
+        let got = ops::zip_map(x, y, f);
+        prop_assert_eq!(got.shape(), &out[..]);
+        prop_assert_eq!(
+            bits(got.data()),
+            bits(&want),
+            "zip_map {:?} {:?}",
+            x.shape(),
+            y.shape()
+        );
+    }
+    for t in [a, b] {
+        let want: Vec<f32> = (0..n)
+            .map(|i| t.data()[broadcast_source_index(i, &out, t.shape())])
+            .collect();
+        prop_assert_eq!(
+            bits(t.broadcast_to(&out).data()),
+            bits(&want),
+            "broadcast_to {:?}",
+            t.shape()
+        );
+        for big in [values_of(&out, 99), Tensor::full(&out, -0.0)] {
+            // Same shape is the identity (a copy); a broadcast target sums from +0.0.
+            let mut want = vec![0.0f32; t.len()];
+            if t.shape() == &out[..] {
+                want.copy_from_slice(big.data());
+            } else {
+                for (i, v) in big.data().iter().enumerate() {
+                    want[broadcast_source_index(i, &out, t.shape())] += v;
+                }
+            }
+            let got = big.reduce_to(t.shape());
+            prop_assert_eq!(got.shape(), t.shape());
+            prop_assert_eq!(
+                bits(got.data()),
+                bits(&want),
+                "reduce_to {:?} -> {:?}",
+                out,
+                t.shape()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// An operand broadcastable to `out`: the leading `drop` axes removed and
+/// every axis whose bit is set in `ones` collapsed to extent 1.
+fn operand_dims(out: &[usize], drop: usize, ones: u32) -> Vec<usize> {
+    out[drop.min(out.len())..]
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| if ones >> i & 1 == 1 { 1 } else { d })
+        .collect()
+}
+
+#[test]
+fn broadcast_walk_matches_reference_on_fixed_cases() {
+    // The reference itself: rows collapse, right alignment, columns collapse.
+    let out = [2, 3];
+    let map = |inp: &[usize]| -> Vec<usize> {
+        (0..6)
+            .map(|f| broadcast_source_index(f, &out, inp))
+            .collect()
+    };
+    assert_eq!(map(&[1, 3]), vec![0, 1, 2, 0, 1, 2]);
+    assert_eq!(map(&[3]), vec![0, 1, 2, 0, 1, 2]);
+    assert_eq!(map(&[2, 1]), vec![0, 0, 0, 1, 1, 1]);
+    // Both operands broadcast, rank 0, and the model's hot patterns.
+    let pairs: [(&[usize], &[usize]); 7] = [
+        (&[4, 1, 3], &[2, 3]),
+        (&[2, 1], &[1, 3]),
+        (&[], &[2, 3]),
+        (&[5, 4, 6], &[5, 4, 1]),
+        (&[5, 6], &[1]),
+        (&[5, 6], &[6]),
+        (&[0, 3], &[3]),
+    ];
+    for (i, (da, db)) in pairs.into_iter().enumerate() {
+        let (a, b) = (values_of(da, i as u64), values_of(db, 50 + i as u64));
+        walk_matches_reference(&a, &b).unwrap_or_else(|e| panic!("{da:?} x {db:?}: {e:?}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn broadcast_walk_matches_reference(
+        out in prop::collection::vec(0usize..5, 0..5),
+        (drop_a, drop_b) in (0usize..5, 0usize..5),
+        (ones_a, ones_b) in (0u32..16, 0u32..16),
+        seed in 0u64..1000,
+    ) {
+        let a = values_of(&operand_dims(&out, drop_a, ones_a), seed);
+        let b = values_of(&operand_dims(&out, drop_b, ones_b), seed + 1);
+        walk_matches_reference(&a, &b)?;
+    }
 
     #[test]
     fn broadcast_is_commutative_for_add(dims in small_dims(), seed in 0u64..1000) {
