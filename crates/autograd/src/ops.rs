@@ -214,8 +214,8 @@ pub fn transpose_01(a: &Var) -> Var {
 /// Reshape (same element count).
 pub fn reshape(a: &Var, shape: &[usize]) -> Var {
     let _p = crate::profile::fwd("reshape");
-    let orig = a.value().shape().to_vec();
-    let out = a.value().reshape_inplace(shape);
+    let orig = a.shape();
+    let out = a.value().reshape(shape);
     a.tape.push(
         out,
         vec![a.id],

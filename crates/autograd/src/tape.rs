@@ -313,7 +313,9 @@ pub struct Var {
 }
 
 impl Var {
-    /// The node's current value (cloned out of the tape).
+    /// The node's current value. Shares the tape's buffer (no copy); a
+    /// write through the returned tensor copies first, so it never changes
+    /// the node.
     pub fn value(&self) -> Tensor {
         self.tape.value_of(self.id)
     }
@@ -381,12 +383,13 @@ impl Param {
         self.inner.borrow().name.clone()
     }
 
-    /// Clones the current value out.
+    /// The current value. Shares the parameter's buffer (no copy); the
+    /// parameter's next update copies first if the result is still alive.
     pub fn value(&self) -> Tensor {
         self.inner.borrow().value.clone()
     }
 
-    /// Clones the accumulated gradient out.
+    /// The accumulated gradient. Shares the accumulator's buffer (no copy).
     pub fn grad(&self) -> Tensor {
         self.inner.borrow().grad.clone()
     }
@@ -562,6 +565,27 @@ mod tests {
         let loss = crate::ops::sum_all(&s);
         let grads = tape.backward(&loss);
         assert_eq!(grads[a.id()].as_ref().unwrap().item(), 2.0);
+    }
+
+    #[test]
+    fn param_update_leaves_a_live_tape_leaf_unchanged() {
+        let p = Param::new("w", Tensor::from_vec(vec![1.0, -2.0], &[2]));
+        let tape = Tape::new();
+        let w = p.leaf(&tape);
+        p.update(|v, _| v.data_mut()[0] = 5.0);
+        assert_eq!(w.value().data(), &[1.0, -2.0]);
+        assert_eq!(p.value().data(), &[5.0, -2.0]);
+    }
+
+    #[test]
+    fn mutating_a_value_leaves_the_node_unchanged() {
+        let tape = Tape::new();
+        let a = tape.leaf(Tensor::from_vec(vec![3.0, 4.0], &[2]));
+        let mut v = a.value();
+        v.data_mut()[1] = 0.0;
+        ist_tensor::ops::add_assign(&mut v, &Tensor::ones(&[2]));
+        assert_eq!(v.data(), &[4.0, 1.0]);
+        assert_eq!(a.value().data(), &[3.0, 4.0]);
     }
 
     #[test]

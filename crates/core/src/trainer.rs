@@ -172,6 +172,10 @@ where
                     let _t = BWD_TIMER.start();
                     ctx.tape.backward(&loss);
                 }
+                // Free the tape before the update: its leaves share the
+                // parameters' buffers, which the optimizer would otherwise
+                // have to copy before writing.
+                drop((loss, ctx));
                 let _opt_t = OPT_TIMER.start();
                 let mut gnorm = if cfg.grad_clip > 0.0 {
                     clip_grad_norm(&params, cfg.grad_clip)

@@ -1,16 +1,18 @@
 //! Tensor memory accounting.
 //!
-//! Every [`crate::Tensor`] allocation and drop reports its buffer size
-//! here, giving live/peak tensor bytes plus allocation counts. A flush hook
-//! adds them to every `ist-obs` snapshot (gauges `tensor.live_bytes` /
-//! `tensor.peak_bytes`, counters `tensor.allocs` / `tensor.alloc_bytes`),
+//! Every tensor buffer reports its size here once when it is created (or
+//! copied by a copy-on-write) and once when its last holder drops it, so
+//! tensors that share a buffer count it once. That gives live/peak tensor
+//! bytes plus allocation counts. A flush hook adds them to every `ist-obs`
+//! snapshot (gauges `tensor.live_bytes` / `tensor.peak_bytes`, counters
+//! `tensor.allocs` / `tensor.alloc_bytes`),
 //! and the trainer stamps the per-epoch peak into its `train.epoch` span.
 //!
 //! ## Cost model
 //!
 //! Accounting is active only while profiling is on (`IST_METRICS` or
-//! `IST_TRACE`); the disabled path is two relaxed atomic loads per tensor
-//! construction/drop — no locking, no syscalls. Frees saturate at zero so
+//! `IST_TRACE`); the disabled path is two relaxed atomic loads per buffer
+//! creation/drop — no locking, no syscalls. Frees saturate at zero so
 //! tensors allocated before profiling was enabled can never wrap the live
 //! gauge; consequently, when profiling is switched on mid-process the live
 //! value is approximate until pre-existing tensors have drained.
@@ -31,7 +33,7 @@ fn profiling() -> bool {
     ist_obs::enabled() || ist_obs::trace_enabled()
 }
 
-/// Called by every tensor constructor with the element count.
+/// Called when a tensor buffer is created or copied, with its element count.
 #[inline]
 pub(crate) fn on_alloc(elems: usize) {
     if !profiling() {
@@ -40,7 +42,8 @@ pub(crate) fn on_alloc(elems: usize) {
     track_alloc(elems as u64 * 4);
 }
 
-/// Called on tensor drop (and buffer hand-off) with the element count.
+/// Called when a tensor buffer is dropped (or handed off by `into_vec`)
+/// with its element count.
 #[inline]
 pub(crate) fn on_free(elems: usize) {
     if !profiling() {
@@ -138,6 +141,39 @@ mod tests {
             after_free <= after_alloc - BYTES / 2,
             "live bytes should shrink by roughly the tensor size \
              (alloc={after_alloc}, free={after_free})"
+        );
+
+        // A clone and a reshape share the buffer: it is counted once.
+        let base = live_bytes();
+        let t = Tensor::zeros(&[ELEMS]);
+        let mut shared = t.clone();
+        let reshaped = t.reshape(&[2, ELEMS / 2]);
+        let once = live_bytes();
+        assert!(
+            once + BYTES / 2 >= base + BYTES && once < base + BYTES + BYTES / 2,
+            "a shared buffer should count once (base={base}, now={once})"
+        );
+        // Writing the shared clone copies it: one more buffer.
+        shared.data_mut()[0] = 1.0;
+        let twice = live_bytes();
+        assert!(
+            twice + BYTES / 2 >= once + BYTES && twice < once + BYTES + BYTES / 2,
+            "a copy-on-write should add one buffer (once={once}, now={twice})"
+        );
+        // `into_vec` on a still-shared tensor leaves the other holder's
+        // bytes live (the returned Vec is outside accounting).
+        let v = t.into_vec();
+        assert!(
+            live_bytes() + BYTES / 2 >= twice,
+            "into_vec on a shared tensor must not free the buffer"
+        );
+        drop(v);
+        // Dropping every holder returns to the start.
+        drop((shared, reshaped));
+        let end = live_bytes();
+        assert!(
+            end < base + BYTES / 2,
+            "every buffer should be freed (base={base}, end={end})"
         );
         ist_obs::set_mode(ist_obs::Mode::Off);
     }

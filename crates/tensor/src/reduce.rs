@@ -180,15 +180,27 @@ pub fn argmax_lastdim(t: &Tensor) -> Vec<usize> {
 /// Indices of the `k` largest values in each last-axis row, descending.
 /// Ties are broken by the lower index; NaN entries rank last
 /// (deterministic — see [`crate::order::nan_last_desc`]).
+///
+/// Selects the `k` best with a partial selection, then sorts only those.
+/// The comparator is a strict total order (no two indices compare equal),
+/// so the result is exactly a full sort's first `k`.
 pub fn topk_lastdim(t: &Tensor, k: usize) -> Vec<Vec<usize>> {
     let (rows, n) = rows_of(t);
     assert!(k <= n, "topk k={} exceeds row length {}", k, n);
     (0..rows)
         .map(|r| {
+            if k == 0 {
+                return Vec::new();
+            }
             let row = &t.data()[r * n..(r + 1) * n];
+            let cmp =
+                |a: &usize, b: &usize| crate::order::nan_last_desc(row[*a], row[*b]).then(a.cmp(b));
             let mut idx: Vec<usize> = (0..n).collect();
-            idx.sort_by(|&a, &b| crate::order::nan_last_desc(row[a], row[b]).then(a.cmp(&b)));
-            idx.truncate(k);
+            if k < n {
+                idx.select_nth_unstable_by(k - 1, cmp);
+                idx.truncate(k);
+            }
+            idx.sort_unstable_by(cmp);
             idx
         })
         .collect()

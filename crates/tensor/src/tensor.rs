@@ -2,39 +2,59 @@
 //! array, plus structural operations (reshape, transpose, gather/scatter,
 //! concatenation, slicing).
 
+use std::sync::Arc;
+
 use crate::mem;
 use crate::shape::{broadcast_walk, check_reshape, num_elements, strides_for};
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
-/// Invariant: `data.len() == shape.iter().product()` at all times.
+/// Invariant: `data().len() == shape.iter().product()` at all times.
 ///
-/// Construction and drop report buffer sizes to [`crate::mem`] (live/peak
-/// tensor-byte accounting); the hooks cost two relaxed atomic loads each
-/// when profiling is off.
-#[derive(PartialEq)]
+/// The elements live in a shared, reference-counted buffer. `clone` and
+/// [`Tensor::reshape`] share it (a reference-count bump, no copy), and
+/// [`Tensor::data_mut`] is copy-on-write: it copies the buffer only while
+/// another tensor still holds it, so a write never shows through another
+/// holder. Memory accounting ([`crate::mem`]) happens per buffer: creating
+/// or copying a buffer reports an allocation and dropping its last holder
+/// reports the free, so shared tensors are counted once. The hooks cost
+/// two relaxed atomic loads each when profiling is off.
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
-    data: Vec<f32>,
+    buf: Arc<Buffer>,
     shape: Vec<usize>,
 }
 
-impl Clone for Tensor {
-    fn clone(&self) -> Tensor {
-        Tensor::tracked(self.data.clone(), self.shape.clone())
+/// The storage behind one or more [`Tensor`]s, and the unit of memory
+/// accounting: every buffer is reported to [`crate::mem`] once when it is
+/// created (or copied by a copy-on-write) and once when it is dropped.
+#[derive(PartialEq)]
+struct Buffer(Vec<f32>);
+
+impl Buffer {
+    fn new(data: Vec<f32>) -> Buffer {
+        mem::on_alloc(data.len());
+        Buffer(data)
     }
 }
 
-impl Drop for Tensor {
+impl Clone for Buffer {
+    fn clone(&self) -> Buffer {
+        Buffer::new(self.0.clone())
+    }
+}
+
+impl Drop for Buffer {
     fn drop(&mut self) {
-        mem::on_free(self.data.len());
+        mem::on_free(self.0.len());
     }
 }
 
 impl std::fmt::Debug for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Print at most a handful of leading elements: tensors can be huge.
-        let head: Vec<f32> = self.data.iter().take(8).copied().collect();
-        let ellipsis = if self.data.len() > 8 { ", …" } else { "" };
+        let head: Vec<f32> = self.data().iter().take(8).copied().collect();
+        let ellipsis = if self.len() > 8 { ", …" } else { "" };
         write!(f, "Tensor{:?} {:?}{}", self.shape, head, ellipsis)
     }
 }
@@ -42,22 +62,23 @@ impl std::fmt::Debug for Tensor {
 impl Tensor {
     // ----- constructors -------------------------------------------------
 
-    /// The single construction funnel: every new tensor buffer passes
-    /// through here so memory accounting sees each allocation exactly once.
-    fn tracked(data: Vec<f32>, shape: Vec<usize>) -> Tensor {
-        mem::on_alloc(data.len());
-        Tensor { data, shape }
+    /// Wraps a freshly built buffer; takes `data` without copying it.
+    fn owning(data: Vec<f32>, shape: Vec<usize>) -> Tensor {
+        Tensor {
+            buf: Arc::new(Buffer::new(data)),
+            shape,
+        }
     }
 
     /// Builds a tensor from raw data and a shape. Panics if sizes disagree.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
         check_reshape(data.len(), shape);
-        Tensor::tracked(data, shape.to_vec())
+        Tensor::owning(data, shape.to_vec())
     }
 
     /// A tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        Tensor::tracked(vec![value; num_elements(shape)], shape.to_vec())
+        Tensor::owning(vec![value; num_elements(shape)], shape.to_vec())
     }
 
     /// All zeros.
@@ -72,16 +93,16 @@ impl Tensor {
 
     /// Rank-0 scalar.
     pub fn scalar(value: f32) -> Self {
-        Tensor::tracked(vec![value], vec![])
+        Tensor::owning(vec![value], vec![])
     }
 
     /// Identity matrix of size `n × n`.
     pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
+        let mut data = vec![0.0f32; n * n];
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            data[i * n + i] = 1.0;
         }
-        t
+        Tensor::owning(data, vec![n, n])
     }
 
     // ----- accessors ----------------------------------------------------
@@ -98,68 +119,72 @@ impl Tensor {
 
     /// Total number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// True when the tensor holds no elements (some axis has extent 0).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data().is_empty()
     }
 
     /// Immutable view of the backing buffer (row-major).
     pub fn data(&self) -> &[f32] {
-        &self.data
+        &self.buf.0
     }
 
-    /// Mutable view of the backing buffer (row-major).
+    /// Mutable view of the backing buffer (row-major). Copy-on-write: the
+    /// buffer is copied first if another tensor shares it.
     pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut Arc::make_mut(&mut self.buf).0
     }
 
-    /// Consumes the tensor and returns the backing buffer.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        // The buffer leaves tensor accounting here; Drop then sees an
-        // empty vec and subtracts nothing.
-        mem::on_free(self.data.len());
-        std::mem::take(&mut self.data)
+    /// Consumes the tensor and returns the backing buffer: taken as is when
+    /// this tensor is its only holder, copied otherwise.
+    pub fn into_vec(self) -> Vec<f32> {
+        match Arc::try_unwrap(self.buf) {
+            Ok(mut buf) => {
+                // The buffer leaves tensor accounting here; its Drop then
+                // sees an empty vec and subtracts nothing.
+                mem::on_free(buf.0.len());
+                std::mem::take(&mut buf.0)
+            }
+            Err(shared) => shared.0.clone(),
+        }
     }
 
     /// The single value of a scalar or 1-element tensor.
     pub fn item(&self) -> f32 {
         assert_eq!(
-            self.data.len(),
+            self.len(),
             1,
             "item() requires exactly one element, shape {:?}",
             self.shape
         );
-        self.data[0]
+        self.data()[0]
     }
 
     /// Element accessor for 2-D tensors.
     pub fn at2(&self, i: usize, j: usize) -> f32 {
         debug_assert_eq!(self.rank(), 2);
-        self.data[i * self.shape[1] + j]
+        self.data()[i * self.shape[1] + j]
     }
 
     /// Element accessor for 3-D tensors.
     pub fn at3(&self, i: usize, j: usize, k: usize) -> f32 {
         debug_assert_eq!(self.rank(), 3);
-        self.data[(i * self.shape[1] + j) * self.shape[2] + k]
+        self.data()[(i * self.shape[1] + j) * self.shape[2] + k]
     }
 
     // ----- structure ----------------------------------------------------
 
     /// Returns the same data under a new shape with equal element count.
+    /// The result shares this tensor's buffer.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        check_reshape(self.data.len(), shape);
-        Tensor::tracked(self.data.clone(), shape.to_vec())
-    }
-
-    /// In-place reshape (avoids the buffer clone of [`Tensor::reshape`]).
-    pub fn reshape_inplace(mut self, shape: &[usize]) -> Tensor {
-        check_reshape(self.data.len(), shape);
-        self.shape = shape.to_vec();
-        self
+        check_reshape(self.len(), shape);
+        Tensor {
+            buf: Arc::clone(&self.buf),
+            shape: shape.to_vec(),
+        }
     }
 
     /// 2-D transpose: `[m, n] → [n, m]`.
@@ -171,13 +196,14 @@ impl Tensor {
             self.shape
         );
         let (m, n) = (self.shape[0], self.shape[1]);
+        let src = self.data();
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
+                out[j * m + i] = src[i * n + j];
             }
         }
-        Tensor::tracked(out, vec![n, m])
+        Tensor::owning(out, vec![n, m])
     }
 
     /// Transposes the last two axes of a tensor of rank ≥ 2
@@ -191,10 +217,10 @@ impl Tensor {
         );
         let m = self.shape[r - 2];
         let n = self.shape[r - 1];
-        let batch = self.data.len() / (m * n);
-        let mut out = vec![0.0f32; self.data.len()];
+        let batch = self.len() / (m * n);
+        let mut out = vec![0.0f32; self.len()];
         for b in 0..batch {
-            let src = &self.data[b * m * n..(b + 1) * m * n];
+            let src = &self.data()[b * m * n..(b + 1) * m * n];
             let dst = &mut out[b * m * n..(b + 1) * m * n];
             for i in 0..m {
                 for j in 0..n {
@@ -204,7 +230,7 @@ impl Tensor {
         }
         let mut shape = self.shape.clone();
         shape.swap(r - 2, r - 1);
-        Tensor::tracked(out, shape)
+        Tensor::owning(out, shape)
     }
 
     /// Swaps the first two axes of a rank-3 tensor: `[A, B, C] → [B, A, C]`.
@@ -219,21 +245,21 @@ impl Tensor {
             self.shape
         );
         let (a, b, c) = (self.shape[0], self.shape[1], self.shape[2]);
-        let mut out = vec![0.0f32; self.data.len()];
+        let mut out = vec![0.0f32; self.len()];
         for i in 0..a {
             for j in 0..b {
-                let src = &self.data[(i * b + j) * c..(i * b + j + 1) * c];
+                let src = &self.data()[(i * b + j) * c..(i * b + j + 1) * c];
                 out[(j * a + i) * c..(j * a + i + 1) * c].copy_from_slice(src);
             }
         }
-        Tensor::tracked(out, vec![b, a, c])
+        Tensor::owning(out, vec![b, a, c])
     }
 
     /// Extracts row `i` of a 2-D tensor as a `[n]` tensor.
     pub fn row(&self, i: usize) -> Tensor {
         assert_eq!(self.rank(), 2);
         let n = self.shape[1];
-        Tensor::tracked(self.data[i * n..(i + 1) * n].to_vec(), vec![n])
+        Tensor::owning(self.data()[i * n..(i + 1) * n].to_vec(), vec![n])
     }
 
     /// Gathers rows of a 2-D tensor: `out[r, :] = self[indices[r], :]`.
@@ -255,9 +281,9 @@ impl Tensor {
                 ix,
                 self.shape
             );
-            data.extend_from_slice(&self.data[ix * n..(ix + 1) * n]);
+            data.extend_from_slice(&self.data()[ix * n..(ix + 1) * n]);
         }
-        Tensor::tracked(data, vec![indices.len(), n])
+        Tensor::owning(data, vec![indices.len(), n])
     }
 
     /// Scatter-add of rows: `self[indices[r], :] += src[r, :]`.
@@ -270,9 +296,10 @@ impl Tensor {
         assert_eq!(src.shape[0], indices.len());
         assert_eq!(src.shape[1], self.shape[1]);
         let n = self.shape[1];
+        let data = self.data_mut();
         for (r, &ix) in indices.iter().enumerate() {
-            let dst = &mut self.data[ix * n..(ix + 1) * n];
-            let s = &src.data[r * n..(r + 1) * n];
+            let dst = &mut data[ix * n..(ix + 1) * n];
+            let s = &src.data()[r * n..(r + 1) * n];
             for (d, v) in dst.iter_mut().zip(s) {
                 *d += v;
             }
@@ -291,9 +318,9 @@ impl Tensor {
         }
         let mut data = Vec::with_capacity(rows * n);
         for p in parts {
-            data.extend_from_slice(&p.data);
+            data.extend_from_slice(p.data());
         }
-        Tensor::tracked(data, vec![rows, n])
+        Tensor::owning(data, vec![rows, n])
     }
 
     /// Slices rows `[start, end)` of a 2-D tensor.
@@ -301,7 +328,10 @@ impl Tensor {
         assert_eq!(self.rank(), 2);
         assert!(start <= end && end <= self.shape[0]);
         let n = self.shape[1];
-        Tensor::tracked(self.data[start * n..end * n].to_vec(), vec![end - start, n])
+        Tensor::owning(
+            self.data()[start * n..end * n].to_vec(),
+            vec![end - start, n],
+        )
     }
 
     /// Materialises this tensor broadcast to `dims` (NumPy rules).
@@ -313,12 +343,12 @@ impl Tensor {
         broadcast_walk(dims, [&self.shape], |o, n, [(s, step)]| {
             let out = &mut data[o..o + n];
             if step == 1 {
-                out.copy_from_slice(&self.data[s..s + n]);
+                out.copy_from_slice(&self.data()[s..s + n]);
             } else {
-                out.fill(self.data[s]);
+                out.fill(self.data()[s]);
             }
         });
-        Tensor::tracked(data, dims.to_vec())
+        Tensor::owning(data, dims.to_vec())
     }
 
     /// Sums a tensor that was broadcast from `orig_dims` back down to
@@ -332,7 +362,7 @@ impl Tensor {
         }
         let mut out = vec![0.0f32; num_elements(orig_dims)];
         broadcast_walk(&self.shape, [orig_dims], |o, n, [(s, step)]| {
-            let src = &self.data[o..o + n];
+            let src = &self.data()[o..o + n];
             if step == 1 {
                 for (acc, v) in out[s..s + n].iter_mut().zip(src) {
                     *acc += v;
@@ -341,17 +371,17 @@ impl Tensor {
                 out[s] = src.iter().fold(out[s], |acc, v| acc + v);
             }
         });
-        Tensor::tracked(out, orig_dims.to_vec())
+        Tensor::owning(out, orig_dims.to_vec())
     }
 
     /// Frobenius / L2 norm of the whole tensor.
     pub fn norm2(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+        self.data().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// True if any element is NaN or infinite. Used by training sanity checks.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
+        self.data().iter().any(|v| !v.is_finite())
     }
 
     /// Strides of this tensor (row-major).
@@ -451,6 +481,90 @@ mod tests {
     #[should_panic]
     fn reshape_bad_panics() {
         Tensor::zeros(&[2, 3]).reshape(&[4, 2]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn clone_and_reshape_share_the_buffer() {
+        let t = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[2, 3]);
+        assert_eq!(t.clone().data().as_ptr(), t.data().as_ptr());
+        assert_eq!(t.reshape(&[3, 2]).data().as_ptr(), t.data().as_ptr());
+    }
+
+    #[test]
+    fn copy_on_write_never_shows_through_another_holder() {
+        let orig = Tensor::from_vec(vec![1.0, -0.0, 2.5, f32::NAN], &[2, 2]);
+        let want = bits(&orig);
+        type Write = fn(&mut Tensor);
+        let writes: [(&str, Write); 3] = [
+            ("data_mut", |t| t.data_mut()[1] = 7.0),
+            ("scatter_add_rows", |t| {
+                t.scatter_add_rows(&[0], &Tensor::ones(&[1, 2]));
+            }),
+            ("add_assign", |t| {
+                let one = Tensor::ones(t.shape());
+                crate::ops::add_assign(t, &one);
+            }),
+        ];
+        for (name, write) in writes {
+            // The writer is a clone of `holder`, then a reshape of it.
+            for via_reshape in [false, true] {
+                let holder = orig.clone();
+                let mut writer = if via_reshape {
+                    holder.reshape(&[2, 2])
+                } else {
+                    holder.clone()
+                };
+                write(&mut writer);
+                assert_ne!(bits(&writer), want, "{name} wrote nothing");
+                assert_ne!(writer.data().as_ptr(), holder.data().as_ptr());
+                assert_eq!(bits(&holder), want, "{name} showed through");
+                // And the other way round: the writer's buffer is its own
+                // now, so writing the holder leaves the writer alone.
+                let written = bits(&writer);
+                let mut holder = holder;
+                write(&mut holder);
+                assert_eq!(bits(&writer), written, "{name} showed back");
+                assert_eq!(bits(&orig), want);
+            }
+        }
+    }
+
+    #[test]
+    fn writing_an_unshared_tensor_keeps_its_buffer() {
+        let mut t = Tensor::zeros(&[2, 2]);
+        let ptr = t.data().as_ptr();
+        t.data_mut()[0] = 1.0;
+        t.scatter_add_rows(&[1], &Tensor::ones(&[1, 2]));
+        crate::ops::add_assign(&mut t, &Tensor::ones(&[2, 2]));
+        assert_eq!(t.data().as_ptr(), ptr);
+        assert_eq!(t.data(), &[2., 1., 2., 2.]);
+        // A clone that has since been dropped no longer shares the buffer.
+        drop(t.clone());
+        t.data_mut()[0] = 0.0;
+        assert_eq!(t.data().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn into_vec_takes_an_unshared_buffer_and_copies_a_shared_one() {
+        let t = Tensor::from_vec(vec![1., 2., 3.], &[3]);
+        let ptr = t.data().as_ptr();
+        let other = t.clone();
+        let copied = t.into_vec();
+        assert_ne!(copied.as_ptr(), ptr);
+        assert_eq!(other.data().as_ptr(), ptr);
+        assert_eq!(other.data(), &copied[..]);
+        let taken = other.into_vec();
+        assert_eq!(taken.as_ptr(), ptr);
+    }
+
+    #[test]
+    fn tensor_is_send_and_sync() {
+        fn check<T: Send + Sync>() {}
+        check::<Tensor>();
     }
 
     #[test]

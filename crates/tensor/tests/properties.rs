@@ -1,7 +1,7 @@
 //! Property-based tests of the tensor algebra (proptest).
 
 use ist_tensor::rng::{uniform, SeedRng, SeedRngExt as _};
-use ist_tensor::{broadcast_shapes, matmul, ops, reduce, strides_for, Tensor};
+use ist_tensor::{broadcast_shapes, matmul, ops, order, reduce, strides_for, Tensor};
 use proptest::prelude::*;
 
 fn small_dims() -> impl Strategy<Value = Vec<usize>> {
@@ -245,6 +245,30 @@ proptest! {
                 if !idx.contains(&j) {
                     prop_assert!(t.at2(r, j) <= worst_in + 1e-6);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn topk_matches_a_full_sort(
+        rows in 1usize..4,
+        cols in 1usize..12,
+        picks in prop::collection::vec(0usize..8, 33..34),
+    ) {
+        // Few distinct values, so ties are common; NaN, ±0 and ±inf too.
+        const POOL: [f32; 8] = [
+            f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0, -1.0, 0.5,
+        ];
+        let data: Vec<f32> = picks[..rows * cols].iter().map(|&p| POOL[p]).collect();
+        let t = Tensor::from_vec(data, &[rows, cols]);
+        for k in 0..=cols {
+            let tk = reduce::topk_lastdim(&t, k);
+            prop_assert_eq!(tk.len(), rows);
+            for (r, got) in tk.iter().enumerate() {
+                let row = &t.data()[r * cols..(r + 1) * cols];
+                let mut full: Vec<usize> = (0..cols).collect();
+                full.sort_by(|&a, &b| order::nan_last_desc(row[a], row[b]).then(a.cmp(&b)));
+                prop_assert_eq!(got, &full[..k]);
             }
         }
     }

@@ -13,6 +13,19 @@ use isrec_suite::data::{IntentWorld, LeaveOneOut, WorldConfig};
 use isrec_suite::isrec::{Isrec, IsrecConfig, SequentialRecommender, TrainConfig};
 use ist_tensor::simd;
 
+/// Bit patterns of the scalar run, pinned. Every other check in this file
+/// compares one dispatch level against another, so a change that moves the
+/// bits the same way at every level (an aliasing bug in a shared buffer,
+/// say) would pass it. A deliberate change to the model, its training or
+/// this test's configuration must re-record these constants.
+const PINNED_LOSSES: [u32; 2] = [0x404e172f, 0x40404960];
+const PINNED_SCORES: [u32; 32] = [
+    0x3fbc3d64, 0x3d9d6200, 0xbf5a0a63, 0xbee7f3ef, 0x3deaac79, 0xbdeec588, 0xbf081338, 0x40212485,
+    0x404a5d1a, 0xbe78cb8b, 0xbe646d34, 0xbf1fa0aa, 0xbebefae6, 0xbe0608c8, 0xbe519712, 0x3f106c0d,
+    0x3f4cfdbb, 0xbfbbd966, 0xbe8c94e5, 0xbe510964, 0xbecdc590, 0x4004147b, 0xbfcf127b, 0xbfde506f,
+    0xbfe6c4db, 0xbfbce5bf, 0x3e70f99c, 0xbeb3a555, 0xbfd52228, 0xbf8aeb20, 0xbf826d42, 0x40364ed9,
+];
+
 #[test]
 fn training_losses_and_scores_are_bitwise_identical_across_dispatch_levels() {
     let ds = IntentWorld::new(WorldConfig::steam_like().scaled(0.08)).generate(11);
@@ -50,6 +63,14 @@ fn training_losses_and_scores_are_bitwise_identical_across_dispatch_levels() {
     };
 
     let (scalar_losses, scalar_scores) = run(simd::Level::Scalar);
+    assert_eq!(
+        scalar_losses, PINNED_LOSSES,
+        "scalar loss stream moved from its pinned bits"
+    );
+    assert_eq!(
+        scalar_scores, PINNED_SCORES,
+        "scalar serving scores moved from their pinned bits"
+    );
     for level in simd::available_levels() {
         if level == simd::Level::Scalar {
             continue;
