@@ -198,16 +198,27 @@ pub fn transpose_last2(a: &Var) -> Var {
     )
 }
 
-/// Swaps the first two axes of a rank-3 var: `[A, B, C] → [B, A, C]`.
-/// Self-adjoint: the backward is the same transpose.
-pub fn transpose_01(a: &Var) -> Var {
-    let _p = crate::profile::fwd("transpose_01");
-    let out = a.value().transpose_01();
-    a.tape.push(
+/// Graph propagation in the features' own layout:
+/// `out[r, i, :] = Σ_j adj[i, j] · h[r, j, :]` for `adj: [M, K]` and
+/// `h: [R, K, d]` → `[R, M, d]` ([`mm::propagate`], which documents the
+/// bits). The backward applies `adjᵀ` to the gradient the same way and,
+/// when `adj` requires it, returns `adj`'s gradient
+/// ([`mm::propagate_adj_grad`]).
+pub fn propagate(adj: &Var, h: &Var) -> Var {
+    let _p = crate::profile::fwd("propagate");
+    let tape = same_tape(adj, h);
+    let (av, hv) = (adj.value(), h.value());
+    let out = mm::propagate(&av, &hv);
+    tape.push(
         out,
-        vec![a.id],
-        Some(Box::new(|g, _| vec![Some(g.transpose_01())])),
-        a.requires_grad(),
+        vec![adj.id, h.id],
+        Some(Box::new(move |g, needs| {
+            vec![
+                needs[0].then(|| mm::propagate_adj_grad(g, &hv)),
+                needs[1].then(|| mm::propagate(&av.t(), g)),
+            ]
+        })),
+        adj.requires_grad() || h.requires_grad(),
     )
 }
 
@@ -562,13 +573,11 @@ mod more_tests {
     use ist_tensor::rng::{uniform, SeedRng, SeedRngExt as _};
 
     #[test]
-    fn grad_ln_and_transpose_01() {
+    fn grad_ln() {
         let mut rng = SeedRng::seed(31);
         // ln needs positive inputs.
         let pos = uniform(&[2, 3], 0.5, 3.0, &mut rng);
         check_grads(&[pos], |_, xs| sum_squares(&ln(&xs[0])));
-        let t3 = uniform(&[2, 3, 2], -1.0, 1.0, &mut rng);
-        check_grads(&[t3], |_, xs| sum_squares(&transpose_01(&xs[0])));
     }
 
     #[test]

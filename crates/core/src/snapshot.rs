@@ -226,7 +226,16 @@ impl<'a> Reader<'a> {
     fn done(&self) -> bool {
         self.pos == self.buf.len()
     }
+
+    /// Upper bound on how many records the unread bytes can hold: a count
+    /// read from the file must not size an allocation beyond that.
+    fn max_records(&self) -> usize {
+        (self.buf.len() - self.pos) / MIN_RECORD_BYTES
+    }
 }
+
+/// Smallest possible record: name length (2), rank (1) and checksum (4).
+const MIN_RECORD_BYTES: usize = 7;
 
 /// Reads one record, verifying its own CRC. Returns `(name, shape, data)`.
 fn get_record(r: &mut Reader) -> Result<(String, Vec<usize>, Vec<f32>), String> {
@@ -292,7 +301,7 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
         other => return Err(format!("bad state flag {other}")),
     };
     let count = r.u32("param count")? as usize;
-    let mut records = Vec::with_capacity(count);
+    let mut records = Vec::with_capacity(count.min(r.max_records()));
     for _ in 0..count {
         records.push(get_record(&mut r)?);
     }
@@ -307,7 +316,7 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
         let adam_t = r.u64("adam step")?;
         let n = r.u32("moment count")? as usize;
         let mut moments: std::collections::HashMap<String, (Vec<usize>, Vec<f32>)> =
-            std::collections::HashMap::with_capacity(n);
+            std::collections::HashMap::with_capacity(n.min(r.max_records()));
         for _ in 0..n {
             let (name, shape, data) = get_record(&mut r)?;
             moments.insert(name, (shape, data));
@@ -538,6 +547,23 @@ mod tests {
         let snap = save(&[a]).unwrap();
         let cut = snap.slice(0..snap.len() - 4);
         assert!(load(&[Param::new("a", Tensor::zeros(&[8]))], cut).is_err());
+    }
+
+    /// A 17-byte snapshot whose record count is `u32::MAX`, behind a valid
+    /// whole-file checksum, must be rejected as truncated, not used to size
+    /// an allocation (the engine's hot reload reads untrusted snapshot
+    /// files).
+    #[test]
+    fn huge_record_count_errors_instead_of_allocating() {
+        let mut body = MAGIC.to_vec();
+        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        body.push(0);
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let a = Param::new("a", Tensor::zeros(&[2]));
+        let err = load_full(&[a], Bytes::from(body)).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]

@@ -116,13 +116,10 @@ impl VerticalConv {
     /// `x: [B·L, d]` batch-major → `[B, n_filters·d]`.
     pub fn forward(&self, ctx: &Ctx, x: &Var, batch: usize) -> Var {
         debug_assert_eq!(x.shape(), vec![batch * self.len, self.d]);
-        // [B, L, d] bmm [B(broadcast), nF, L] — realise by looping heads via
-        // one GEMM: W [nF, L] applied per batch with transpose_01 trick.
+        // W [nF, L] applied to each sequence's [L, d] block in place: the
+        // filters are a rectangular adjacency from positions to filters.
         let x3 = ops::reshape(x, &[batch, self.len, self.d]);
-        let xk = ops::reshape(&ops::transpose_01(&x3), &[self.len, batch * self.d]);
-        let w = self.weight.leaf(&ctx.tape);
-        let out = ops::matmul(&w, &xk); // [nF, B·d]
-        let out = ops::transpose_01(&ops::reshape(&out, &[self.n_filters, batch, self.d]));
+        let out = ops::propagate(&self.weight.leaf(&ctx.tape), &x3); // [B, nF, d]
         ops::reshape(&out, &[batch, self.n_filters * self.d])
     }
 
@@ -191,6 +188,68 @@ mod tests {
         ist_tensor::assert_close(&y.data()[0..3], &[4.0, 5.0, 6.0], 1e-5);
         // batch1: 0.25·0 + 0.75·[4,4,4]
         ist_tensor::assert_close(&y.data()[3..6], &[3.0, 3.0, 3.0], 1e-5);
+    }
+
+    /// `[A, B, C] → [B, A, C]` by an index loop, recorded as a
+    /// self-adjoint tape node.
+    fn transpose_01(v: &Var) -> Var {
+        fn swap01(t: &Tensor) -> Tensor {
+            let (a, b, c) = (t.shape()[0], t.shape()[1], t.shape()[2]);
+            let mut out = vec![0.0f32; t.len()];
+            for i in 0..a {
+                for j in 0..b {
+                    for k in 0..c {
+                        out[(j * a + i) * c + k] = t.data()[(i * b + j) * c + k];
+                    }
+                }
+            }
+            Tensor::from_vec(out, &[b, a, c])
+        }
+        v.tape().push_for_tests(
+            swap01(&v.value()),
+            vec![v.id()],
+            Some(Box::new(|g, _| vec![Some(swap01(g))])),
+        )
+    }
+
+    /// The vertical convolution as it was computed before `propagate`: the
+    /// window transposed to `[L, B·d]`, one GEMM with `W`, transposed back.
+    fn vertical_gemm_path(conv: &VerticalConv, ctx: &Ctx, x: &Var, batch: usize) -> Var {
+        let (len, d, nf) = (conv.len, conv.d, conv.n_filters);
+        let x3 = ops::reshape(x, &[batch, len, d]);
+        let xk = ops::reshape(&transpose_01(&x3), &[len, batch * d]);
+        let out = ops::matmul(&conv.weight.leaf(&ctx.tape), &xk);
+        let out = transpose_01(&ops::reshape(&out, &[nf, batch, d]));
+        ops::reshape(&out, &[batch, nf * d])
+    }
+
+    #[test]
+    fn vertical_matches_the_gemm_path_bitwise() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeedRng::seed(7);
+        let (batch, len, d, nf) = (70, 5, 6, 4);
+        let conv = VerticalConv::new("v", d, len, nf, &mut rng);
+        let x = uniform(&[batch * len, d], -1.0, 1.0, &mut rng);
+        let wts = uniform(&[batch, nf * d], -1.0, 1.0, &mut rng);
+        let run = |path: &dyn Fn(&Ctx, &Var) -> Var| {
+            conv.weight.zero_grad();
+            let ctx = Ctx::eval();
+            let xv = ctx.tape.leaf(x.clone());
+            let out = path(&ctx, &xv);
+            let loss = ops::sum_all(&ops::mul(&out, &ctx.tape.constant(wts.clone())));
+            let grads = ctx.tape.backward(&loss);
+            let gx = grads[xv.id()].clone().expect("x gradient");
+            assert!(
+                conv.weight.grad().norm2() > 0.0,
+                "W must receive a gradient"
+            );
+            (bits(&out.value()), bits(&conv.weight.grad()), bits(&gx))
+        };
+        let new = run(&|ctx, xv| conv.forward(ctx, xv, batch));
+        let old = run(&|ctx, xv| vertical_gemm_path(&conv, ctx, xv, batch));
+        assert!(new.0 == old.0, "conv output bits differ");
+        assert!(new.1 == old.1, "W gradient bits differ");
+        assert!(new.2 == old.2, "x gradient bits differ");
     }
 
     #[test]

@@ -12,8 +12,9 @@ use crate::Ctx;
 /// symmetric-normalised adjacency with self-loops (precomputed, constant).
 ///
 /// Supports a *batched* forward: `H: [R, K, d]` is `R` independent copies of
-/// the node features (one per sequence position in ISRec); `N` is applied to
-/// each via one GEMM on the axis-01 transpose.
+/// the node features (one per sequence position in ISRec). `N` is applied to
+/// each in place in that layout, over `N`'s nonzeros
+/// ([`ops::propagate`]), and `W` by one GEMM on the `[R·K, d]` view.
 pub struct GcnLayer {
     /// Learnable weight `[d_in, d_out]`.
     pub weight: Param,
@@ -66,13 +67,8 @@ impl GcnLayer {
         let (r, k, d) = (shape[0], shape[1], shape[2]);
         assert_eq!(norm_adj.shape(), vec![k, k]);
 
-        // N·H for all R at once: [R,K,d] → [K,R·d] → N·(·) → back.
-        let hk = ops::reshape(&ops::transpose_01(h), &[k, r * d]);
-        let agg = ops::matmul(norm_adj, &hk);
-        let agg = ops::transpose_01(&ops::reshape(&agg, &[k, r, d]));
-
-        // (N·H)·W via a flat GEMM.
-        let flat = ops::reshape(&agg, &[r * k, d]);
+        // (N·H)·W: propagate every copy in place, then one flat GEMM.
+        let flat = ops::reshape(&ops::propagate(norm_adj, h), &[r * k, d]);
         let w = self.weight.leaf(&ctx.tape);
         let out = ops::matmul(&flat, &w);
         let out = if self.relu { ops::relu(&out) } else { out };

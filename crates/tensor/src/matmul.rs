@@ -1,5 +1,7 @@
 //! Matrix multiplication: cache-blocked 2-D GEMM parallelised over the
-//! shared worker pool, matrix–vector products, and batched 3-D `bmm`.
+//! shared worker pool, matrix–vector products, batched 3-D `bmm`, and
+//! [`propagate`], which applies one sparse adjacency to a batch of
+//! node-feature matrices in their own layout.
 //!
 //! The production kernel ([`gemm_blocked`]) tiles over N (`NC` columns) and
 //! K (`KC` rows of `b`), packing each `b` panel into this thread's grow-only
@@ -360,6 +362,129 @@ fn matmul_cols(
         })
         .collect();
     pool.run(tasks);
+}
+
+/// Rows of `h` per pool task in [`propagate`]. Fixed, so the partition
+/// does not depend on the pool size (every output element is computed
+/// whole by one task either way).
+const PROPAGATE_ROWS: usize = 64;
+
+/// Applies one adjacency to a batch of node-feature matrices in their own
+/// layout: `out[r, i, :] = Σ_j adj[i, j] · h[r, j, :]` for `adj: [M, K]`
+/// and `h: [R, K, d]` → `[R, M, d]`. This is the graph-propagation step
+/// `N·H` of a GCN layer, run over `adj`'s nonzeros only.
+///
+/// Each output element is one chain from +0.0 over `j` ascending, with a
+/// separate multiply and add, and zero coefficients skipped. While `h` is
+/// finite a skipped term is ±0 and leaves the chain's bits unchanged, so
+/// for `K ≤ KC` (256; the GEMM sums such a product as one depth chain) the
+/// result is bitwise equal to [`matmul`] of `adj` with `h` laid out as
+/// `[K, R·d]`. Non-finite `h` is the exception: the GEMM's 4-row
+/// micro-kernel multiplies a zero coefficient by ±inf or NaN into NaN,
+/// where this skips the term.
+pub fn propagate(adj: &Tensor, h: &Tensor) -> Tensor {
+    assert_eq!(
+        adj.rank(),
+        2,
+        "propagate adj must be 2-D, got {:?}",
+        adj.shape()
+    );
+    assert_eq!(h.rank(), 3, "propagate h must be 3-D, got {:?}", h.shape());
+    let (m, k) = (adj.shape()[0], adj.shape()[1]);
+    let (r, k2, d) = (h.shape()[0], h.shape()[1], h.shape()[2]);
+    assert_eq!(
+        k,
+        k2,
+        "propagate dims disagree: {:?} · {:?}",
+        adj.shape(),
+        h.shape()
+    );
+
+    // `adj` in compressed-row form: row i's nonzeros `(j, a_ij)`, j
+    // ascending, end at `row_ends[i]`.
+    let mut nonzeros: Vec<(usize, f32)> = Vec::with_capacity(m * k);
+    let row_ends: Vec<usize> = adj
+        .data()
+        .chunks_exact(k.max(1))
+        .take(m)
+        .map(|row| {
+            let nz = row.iter().enumerate().filter(|&(_, &a)| a != 0.0);
+            nonzeros.extend(nz.map(|(j, &a)| (j, a)));
+            nonzeros.len()
+        })
+        .collect();
+    let h_data = h.data();
+    let run_rows = |r0: usize, out_rows: &mut [f32]| {
+        for (dr, out_r) in out_rows.chunks_exact_mut(m * d).enumerate() {
+            let h_r = &h_data[(r0 + dr) * k * d..(r0 + dr + 1) * k * d];
+            let mut start = 0;
+            for (out_i, &end) in out_r.chunks_exact_mut(d).zip(&row_ends) {
+                let row = &nonzeros[start..end];
+                start = end;
+                // Eight columns at a time, each chain held in a register.
+                let mut blocks = out_i.chunks_exact_mut(8);
+                for (b, out_b) in (&mut blocks).enumerate() {
+                    let mut acc = [0.0f32; 8];
+                    for &(j, a) in row {
+                        let x = &h_r[j * d + b * 8..][..8];
+                        for (s, &x) in acc.iter_mut().zip(x) {
+                            *s += a * x;
+                        }
+                    }
+                    out_b.copy_from_slice(&acc);
+                }
+                let c0 = d - d % 8;
+                for (c, o) in blocks.into_remainder().iter_mut().enumerate() {
+                    for &(j, a) in row {
+                        *o += a * h_r[j * d + c0 + c];
+                    }
+                }
+            }
+        }
+    };
+
+    let mut out = vec![0.0f32; r * m * d];
+    let chunk = PROPAGATE_ROWS * m * d;
+    if r > PROPAGATE_ROWS && pool::should_parallelize(r * nonzeros.len() * d, pool::GEMM_GRAIN) {
+        pool::parallel_chunks_mut(&mut out, chunk, |c, rows| {
+            run_rows(c * PROPAGATE_ROWS, rows)
+        });
+    } else if !out.is_empty() {
+        run_rows(0, &mut out);
+    }
+    Tensor::from_vec(out, &[r, m, d])
+}
+
+/// Gradient of [`propagate`] with respect to `adj`, given the output
+/// gradient `g: [R, M, d]` and the features `h: [R, K, d]` → `[M, K]`:
+/// `Σ_{r,c} g[r, i, c] · h[r, j, c]`. It is the one GEMM of `g` laid out as
+/// `[M, R·d]` with `h` as `[R·d, K]`, so it has the GEMM's bits (KC-deep
+/// chains added in order) whatever the depth `R·d`.
+pub fn propagate_adj_grad(g: &Tensor, h: &Tensor) -> Tensor {
+    assert_eq!(
+        g.rank(),
+        3,
+        "propagate grad must be 3-D, got {:?}",
+        g.shape()
+    );
+    let (r, m, d) = (g.shape()[0], g.shape()[1], g.shape()[2]);
+    assert_eq!(
+        (h.shape()[0], h.shape()[2]),
+        (r, d),
+        "propagate grad {:?} does not match features {:?}",
+        g.shape(),
+        h.shape()
+    );
+    let k = h.shape()[1];
+    let mut g_rows = vec![0.0f32; m * r * d];
+    for (ri, g_r) in g.data().chunks_exact((m * d).max(1)).enumerate() {
+        for (i, src) in g_r.chunks_exact(d).enumerate() {
+            let at = i * r * d + ri * d;
+            g_rows[at..at + d].copy_from_slice(src);
+        }
+    }
+    let g_rows = Tensor::from_vec(g_rows, &[m, r * d]);
+    matmul(&g_rows, &h.transpose_last2().reshape(&[r * d, k]))
 }
 
 /// `a[m×k] · x[k] → [m]`, row blocks dealt to the pool for large inputs.

@@ -233,28 +233,6 @@ impl Tensor {
         Tensor::owning(out, shape)
     }
 
-    /// Swaps the first two axes of a rank-3 tensor: `[A, B, C] → [B, A, C]`.
-    ///
-    /// Used to apply one graph adjacency to a whole batch of node-feature
-    /// matrices with a single GEMM.
-    pub fn transpose_01(&self) -> Tensor {
-        assert_eq!(
-            self.rank(),
-            3,
-            "transpose_01 requires rank 3, got {:?}",
-            self.shape
-        );
-        let (a, b, c) = (self.shape[0], self.shape[1], self.shape[2]);
-        let mut out = vec![0.0f32; self.len()];
-        for i in 0..a {
-            for j in 0..b {
-                let src = &self.data()[(i * b + j) * c..(i * b + j + 1) * c];
-                out[(j * a + i) * c..(j * a + i + 1) * c].copy_from_slice(src);
-            }
-        }
-        Tensor::owning(out, vec![b, a, c])
-    }
-
     /// Extracts row `i` of a 2-D tensor as a `[n]` tensor.
     pub fn row(&self, i: usize) -> Tensor {
         assert_eq!(self.rank(), 2);

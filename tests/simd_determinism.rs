@@ -10,7 +10,7 @@
 //! not race other tests.
 
 use isrec_suite::data::{IntentWorld, LeaveOneOut, WorldConfig};
-use isrec_suite::isrec::{Isrec, IsrecConfig, SequentialRecommender, TrainConfig};
+use isrec_suite::isrec::{AdjacencyMode, Isrec, IsrecConfig, SequentialRecommender, TrainConfig};
 use ist_tensor::simd;
 
 /// Bit patterns of the scalar run, pinned. Every other check in this file
@@ -25,6 +25,47 @@ const PINNED_SCORES: [u32; 32] = [
     0x3f4cfdbb, 0xbfbbd966, 0xbe8c94e5, 0xbe510964, 0xbecdc590, 0x4004147b, 0xbfcf127b, 0xbfde506f,
     0xbfe6c4db, 0xbfbce5bf, 0x3e70f99c, 0xbeb3a555, 0xbfd52228, 0xbf8aeb20, 0xbf826d42, 0x40364ed9,
 ];
+
+/// Loss bit patterns of a short fit with a trainable adjacency (the
+/// learned-relations extension), pinned like [`PINNED_LOSSES`]: the default
+/// fixed mode never sends a gradient into the adjacency, so these are the
+/// only pins on the GCN transition's adjacency gradient. This test runs at
+/// whatever dispatch level the other test has set; every level gives the
+/// same bits, which that test checks.
+const PINNED_LEARNED_LOSSES: [u32; 2] = [0x409873eb, 0x4092cb5e];
+const PINNED_MIXED_LOSSES: [u32; 2] = [0x409873d7, 0x4092cc24];
+
+#[test]
+fn learned_and_mixed_adjacency_losses_are_pinned() {
+    let ds = IntentWorld::new(WorldConfig::beauty_like().scaled(0.15)).generate(11);
+    let split = LeaveOneOut::split(&ds.sequences);
+    let train = TrainConfig {
+        epochs: 2,
+        batch_size: 16,
+        ..Default::default()
+    };
+    for (adjacency, pinned) in [
+        (AdjacencyMode::Learned, PINNED_LEARNED_LOSSES),
+        (AdjacencyMode::Mixed, PINNED_MIXED_LOSSES),
+    ] {
+        let cfg = IsrecConfig {
+            d: 16,
+            d_prime: 4,
+            lambda: 4,
+            max_len: 10,
+            layers: 1,
+            adjacency,
+            ..Default::default()
+        };
+        let mut model = Isrec::new(&ds, cfg, 7);
+        let report = model.fit(&ds, &split, &train);
+        let bits: Vec<u32> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(
+            bits, pinned,
+            "{adjacency:?} loss stream moved from its pinned bits"
+        );
+    }
+}
 
 #[test]
 fn training_losses_and_scores_are_bitwise_identical_across_dispatch_levels() {
