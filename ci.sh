@@ -99,6 +99,10 @@ run_simd() {
     # stream and serving scores at every level (simd_determinism).
     cargo test -q --release --locked -p ist-tensor --test simd_equivalence
     cargo test -q --release --locked --test simd_determinism
+    # Catalog scoring at catalog width, scalar: the small serving world
+    # below never reaches the GEMM's multi-panel column split or the
+    # pre-packed catalog's reload, so the 18k-item test runs here too.
+    IST_SIMD=scalar cargo test -q --release --locked -p ist-serve --test wide_catalog
 
     # Quickstart losses: forcing IST_SIMD=scalar must not change a bit
     # against the auto-detected best level, and the best level must stay

@@ -9,7 +9,7 @@ use ist_nn::attention::{attention_mask, TransformerEncoder};
 use ist_nn::embedding::{Embedding, PositionalEmbedding};
 use ist_nn::linear::Linear;
 use ist_nn::{ctx::dropout, init, Ctx, Module};
-use ist_tensor::matmul::matmul;
+use ist_tensor::matmul::{matmul, PackedRhs};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use ist_tensor::{reduce, Tensor};
 
@@ -402,11 +402,21 @@ impl Isrec {
 
     /// The Eq.-12 output item table — item embeddings plus, when
     /// `tie_concept_output` is set, the summed concept embeddings —
-    /// **transposed** to `[d, num_items]` so serving can score a stack of
-    /// [`Isrec::infer_last_repr`] rows with one GEMM. Recomputed once per
-    /// model load/reload, never per request.
+    /// **transposed** to `[d, num_items]` so offline evaluation can score
+    /// a stack of [`Isrec::infer_last_repr`] rows with one GEMM. Serving
+    /// uses [`Isrec::output_item_panels`] instead.
     pub fn output_item_table_t(&self) -> Tensor {
         ops::transpose(&self.output_item_table(&Ctx::inference())).value()
+    }
+
+    /// The same table as [`Isrec::output_item_table_t`], packed straight
+    /// from its `[num_items, d]` rows into the GEMM's panel layout, so
+    /// [`matmul_packed`](ist_tensor::matmul::matmul_packed) scores a stack
+    /// of representations against it without repacking, and the
+    /// transposed `[d, num_items]` copy is never built. Serving packs it
+    /// once per model load/reload.
+    pub fn output_item_panels(&self) -> PackedRhs {
+        PackedRhs::pack_rows(&self.output_item_table(&Ctx::inference()).value())
     }
 
     /// Pad item id (`num_items`).
@@ -697,6 +707,15 @@ mod tests {
             scores.data(),
             &logits.value().data()[last..last + ds.num_items]
         );
+    }
+
+    #[test]
+    fn output_item_panels_pack_the_transposed_table() {
+        let ds = tiny_dataset();
+        let model = tiny_model(&ds, IsrecVariant::Full);
+        let panels = model.output_item_panels();
+        assert_eq!((panels.k(), panels.n()), (16, ds.num_items));
+        assert_eq!(panels, PackedRhs::pack(&model.output_item_table_t()));
     }
 
     /// The plain path `infer_last_repr` replaces: encode every position,

@@ -28,7 +28,7 @@ use isrec_core::{snapshot, CheckpointManager, Isrec, IsrecConfig};
 use ist_data::SequentialDataset;
 use ist_nn::Module as _;
 use ist_obs::reqctx::{self, ReqCtx, Stage};
-use ist_tensor::matmul::matmul;
+use ist_tensor::matmul::{matmul_packed, PackedRhs};
 use ist_tensor::pool;
 use ist_tensor::Tensor;
 
@@ -1190,7 +1190,7 @@ fn scorer_incarnation(
     if let Some(e) = epoch {
         shared.epoch.store(e, Ordering::Relaxed);
     }
-    let mut table_t = model.output_item_table_t();
+    let mut catalog = model.output_item_panels();
     let mut cache = ReprCache::new(cfg.cache_entries);
     let _ = ready_tx.send(Ok(()));
 
@@ -1199,7 +1199,7 @@ fn scorer_incarnation(
             Work::Quit => return Exit::Shutdown,
             Work::Reload(slot) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    reload_model(spec, &model, &mut epoch, &mut table_t, &mut cache, shared)
+                    reload_model(spec, &model, &mut epoch, &mut catalog, &mut cache, shared)
                 }));
                 match outcome {
                     Ok(result) => {
@@ -1222,7 +1222,7 @@ fn scorer_incarnation(
             }
             Work::Batch(batch) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    process_batch(&model, &table_t, &mut cache, shared, &batch)
+                    process_batch(&model, &catalog, &mut cache, shared, &batch)
                 }));
                 if let Err(payload) = outcome {
                     // Fail only the poisoned batch: each of its requests
@@ -1240,29 +1240,30 @@ fn scorer_incarnation(
 }
 
 /// Applies a reload request. The scorer is single-threaded, so swapping the
-/// weights + table between batches is atomic from every caller's view.
+/// weights + catalog panels between batches is atomic from every caller's
+/// view.
 fn reload_model(
     spec: &ModelSpec,
     model: &Isrec,
     epoch: &mut Option<u64>,
-    table_t: &mut Tensor,
+    catalog: &mut PackedRhs,
     cache: &mut ReprCache,
     shared: &Shared,
 ) -> Result<Option<u64>, String> {
-    let mut swap_table = |table_t: &mut Tensor| {
-        *table_t = model.output_item_table_t();
+    let mut swap_catalog = |catalog: &mut PackedRhs| {
+        *catalog = model.output_item_panels();
         cache.clear();
     };
     match load_weights(model, &spec.source, *epoch, shared)? {
         Some(new_epoch) => {
             *epoch = Some(new_epoch);
-            swap_table(table_t);
+            swap_catalog(catalog);
             Ok(Some(new_epoch))
         }
         None => match &spec.source {
             // Snapshot reload always re-applies the (validated) file.
             ModelSource::Snapshot(_) => {
-                swap_table(table_t);
+                swap_catalog(catalog);
                 Ok(None)
             }
             ModelSource::CheckpointDir(_) => Ok(None),
@@ -1286,7 +1287,7 @@ fn take_fault<R: Default>(shared: &Shared, take: impl FnOnce(&mut ServeFaultPlan
 
 fn process_batch(
     model: &Isrec,
-    table_t: &Tensor,
+    catalog: &PackedRhs,
     cache: &mut ReprCache,
     shared: &Shared,
     batch: &[QueuedScore],
@@ -1303,7 +1304,7 @@ fn process_batch(
     }
 
     let m = batch.len();
-    let d = table_t.shape()[0];
+    let d = catalog.k();
     let max_len = model.max_len();
     let mut span = ist_obs::Span::enter("serve.batch");
     span.add_field("size", m);
@@ -1375,12 +1376,13 @@ fn process_batch(
     shared.cache_hits.store(hits, Ordering::Relaxed);
     shared.cache_misses.store(misses, Ordering::Relaxed);
 
-    // Catalog scoring is one GEMM against the transposed item table —
-    // `matmul` splits a short batch by columns across the pool — then one
-    // bounded-heap top-K per row, row blocks spread over the pool. Each score's bits depend only on its own
-    // representation row, so ranking is bitwise independent of the batch
-    // makeup and the pool size. A row that failed to resolve fails only
-    // its own request.
+    // Catalog scoring is one GEMM that reads the item table's panels,
+    // packed once per load, in place — the GEMM splits a short batch by
+    // columns across the pool — then one bounded-heap top-K per row, row
+    // blocks spread over the pool. Each score's bits depend only on its
+    // own representation row, so ranking is bitwise independent of the
+    // batch makeup and the pool size. A row that failed to resolve fails
+    // only its own request.
     let mut resolved: Vec<usize> = Vec::with_capacity(m);
     let mut stacked: Vec<f32> = Vec::with_capacity(m * d);
     for (i, (row, req)) in rows.iter().zip(batch).enumerate() {
@@ -1400,9 +1402,9 @@ fn process_batch(
     }
     let reprs = Tensor::from_vec(stacked, &[resolved.len(), d]);
     let score_started = Instant::now();
-    let scores = matmul(&reprs, table_t);
+    let scores = matmul_packed(&reprs, catalog);
     let merge_started = Instant::now();
-    let n = table_t.shape()[1];
+    let n = catalog.n();
     let row_scores: Vec<(&[f32], usize)> = resolved
         .iter()
         .enumerate()

@@ -33,7 +33,7 @@ const TICK: Duration = Duration::from_millis(1);
 struct Env {
     ds: SequentialDataset,
     model: Isrec,
-    table_t: Tensor,
+    catalog: PackedRhs,
     /// Shared across schedules: cache hits only spare forward passes, they
     /// never change what a request settles with.
     cache: RefCell<ReprCache>,
@@ -53,11 +53,11 @@ impl Env {
             ..Default::default()
         };
         let model = Isrec::new(&ds, config, 7);
-        let table_t = model.output_item_table_t();
+        let catalog = model.output_item_panels();
         Env {
             ds,
             model,
-            table_t,
+            catalog,
             cache: RefCell::new(ReprCache::new(16)),
         }
     }
@@ -341,8 +341,8 @@ impl<'e> World<'e> {
                 }
             } else {
                 let mut cache = self.env.cache.borrow_mut();
-                let (model, table_t) = (&self.env.model, &self.env.table_t);
-                process_batch(model, table_t, &mut cache, &self.shared, &batch);
+                let (model, catalog) = (&self.env.model, &self.env.catalog);
+                process_batch(model, catalog, &mut cache, &self.shared, &batch);
             }
         } else {
             let mut q = self.shared.lock_queue();

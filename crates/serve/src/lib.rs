@@ -27,10 +27,12 @@
 //!   encoder entirely and re-score via the same GEMM as misses, so a
 //!   cached answer is bitwise identical to a cold one.
 //! * **Catalog scoring** — one `ist_tensor` GEMM of the batch's
-//!   representations against the transposed item table. At serving batch
-//!   sizes the product is short and wide, and `matmul` itself splits it
-//!   into column blocks across the pool; each score's bits depend only on
-//!   its own representation row, whatever the pool size.
+//!   representations against the item table, which is packed into the
+//!   GEMM's panel layout once per model load and reload and read in
+//!   place by every batch. At serving batch sizes the product is short
+//!   and wide, and the GEMM itself splits it into column blocks across
+//!   the pool; each score's bits depend only on its own representation
+//!   row, whatever the pool size.
 //! * **Top-K retrieval** — each row of scores is reduced by a bounded
 //!   binary heap ([`top_k`]): `O(n log k)`, no full sort, non-finite
 //!   scores rejected, ties broken toward the smaller item id. A cached

@@ -1,7 +1,8 @@
 //! Catalog scoring on a multi-worker pool, end to end: a catalog wide
-//! enough that `matmul` splits every serving batch by column blocks, in
+//! enough that the GEMM splits every serving batch by column blocks, in
 //! dense sub-blocks once a batch has several rows, must rank exactly as
-//! the serial product does.
+//! the serial product does — before and after a reload to new weights,
+//! which must repack the catalog panels.
 //!
 //! The global pool is sized once per process from `IST_THREADS`, so this
 //! file holds a single test that sets it before anything touches the pool.
@@ -42,8 +43,7 @@ fn pooled_catalog_scoring_matches_serial_product() {
         ..Default::default()
     };
     let model = Isrec::new(&ds, cfg.clone(), 11);
-    let table_t = model.output_item_table_t();
-    let (d, n) = (table_t.shape()[0], table_t.shape()[1]);
+    let (d, n) = (cfg.d, ds.num_items);
     // The column split needs `n ≥ threads·NC` (NC = 64) and `m·n·d ≥
     // GEMM_GRAIN·threads`; a single row must already qualify. Every batch
     // of up to 16 rows is then wide (`n ≥ m·threads·NC`).
@@ -59,23 +59,35 @@ fn pooled_catalog_scoring_matches_serial_product() {
         .map(|seq| seq[..seq.len().min(6)].to_vec())
         .collect();
     let serial = ThreadPool::new(1);
-    let want: Vec<Vec<(usize, u32)>> = hists
-        .iter()
-        .map(|h| {
-            let repr = model.infer_last_repr(&[h.as_slice()]);
-            bits(&top_k(matmul_in(&serial, &repr, &table_t).data(), 10).unwrap())
-        })
-        .collect();
+    // Each history's top 10 under `model`, from the serial product with
+    // the transposed table.
+    let rankings = |model: &Isrec| -> Vec<Vec<(usize, u32)>> {
+        let table_t = model.output_item_table_t();
+        hists
+            .iter()
+            .map(|h| {
+                let repr = model.infer_last_repr(&[h.as_slice()]);
+                bits(&top_k(matmul_in(&serial, &repr, &table_t).data(), 10).unwrap())
+            })
+            .collect()
+    };
+    let want = rankings(&model);
+    // Different weights for the reload: a model of the same shape and a
+    // different seed.
+    let reloaded = Isrec::new(&ds, cfg.clone(), 12);
+    let want_reloaded = rankings(&reloaded);
+    assert_ne!(want, want_reloaded, "the reload must change the rankings");
 
     let dir = std::env::temp_dir().join(format!("ist-serve-wide-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("model.bin");
-    std::fs::write(&path, snapshot::save(&model.params()).unwrap()).unwrap();
+    let save = |model: &Isrec| std::fs::write(&path, snapshot::save(&model.params()).unwrap());
 
     // Single rows are written in place; batches of several rows go
     // through the dense sub-blocks and rank on the pool.
     for max_batch in [1usize, 12, 32] {
+        save(&model).unwrap();
         let spec = ModelSpec {
             dataset: ds.clone(),
             config: cfg.clone(),
@@ -89,21 +101,24 @@ fn pooled_catalog_scoring_matches_serial_product() {
             ..ServeConfig::default()
         };
         let engine = ScoreEngine::start(spec, config).unwrap();
-        let barrier = Barrier::new(hists.len());
-        let got: Vec<Vec<(usize, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = hists
-                .iter()
-                .map(|h| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        bits(&engine.recommend(h, 10).unwrap().items)
+        let serve_all = || -> Vec<Vec<(usize, u32)>> {
+            let barrier = Barrier::new(hists.len());
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = hists
+                    .iter()
+                    .map(|h| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            bits(&engine.recommend(h, 10).unwrap().items)
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        };
         assert_eq!(
-            got, want,
+            serve_all(),
+            want,
             "batch={max_batch}: rankings differ from the serial product"
         );
         let stats = engine.stats();
@@ -111,6 +126,18 @@ fn pooled_catalog_scoring_matches_serial_product() {
             stats.max_batch <= max_batch as u64 && (max_batch == 1 || stats.max_batch > 1),
             "batch={max_batch}: micro-batcher never coalesced or overflowed: {stats:?}"
         );
+        if max_batch <= 12 {
+            // A reload swaps in new weights and must repack the panels at
+            // catalog width: a stale panel set scores the new
+            // representations against the old table.
+            save(&reloaded).unwrap();
+            engine.reload().unwrap();
+            assert_eq!(
+                serve_all(),
+                want_reloaded,
+                "batch={max_batch}: rankings after the reload differ from the serial product"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -62,6 +62,9 @@ pub const MR: usize = 4;
 /// Output columns per GEMM register tile — one packed-B block, i.e. two
 /// f32x8 registers at `avx2` or one f32x16 at `avx512`.
 pub const NR: usize = 16;
+/// NR blocks a remainder row of the GEMM micro-kernel accumulates per
+/// pass, each on its own chain.
+const GROUP: usize = 4;
 
 /// SIMD dispatch level, ordered from narrowest to widest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -839,9 +842,10 @@ mod x86_gemm {
 /// Computes one packed panel's contribution to `out`. Ports the blocked
 /// kernel's micro-loop verbatim: the MR×NR register tile is held across
 /// the whole panel depth, and `m % MR` remainder rows take a single-row
-/// path with a per-element zero skip. Every block, the zero-padded partial
-/// one included, runs the level's [`ColBlock`]; [`flush`] writes back only
-/// a partial block's real columns.
+/// path with a per-element zero skip, [`GROUP`] full blocks per pass.
+/// Every block, the zero-padded partial one included, runs the level's
+/// [`ColBlock`]; [`flush`] writes back only a partial block's real
+/// columns.
 #[inline(always)]
 fn gemm_panel_body<C: ColBlock>(
     a: &[f32],
@@ -889,14 +893,38 @@ fn gemm_panel_body<C: ColBlock>(
         }
         i += MR;
     }
-    // Remainder rows, one at a time with the per-element zero skip.
+    // Remainder rows, one at a time with the per-element zero skip. Four
+    // NR blocks per pass: four independent accumulator chains share one
+    // splat of `a[i][p]`, so the row streams the panel instead of waiting
+    // on one dependent add chain. Each column is still one chain from +0.0
+    // over `p` ascending, so the grouping changes no bits.
+    let grouped = nc / (GROUP * NR) * (GROUP * NR);
     while i < m {
         if row_zero[i] {
             i += 1;
             continue;
         }
         let a_row = &a[i * k + kk..i * k + kk + kc];
-        for (c, width) in blocks.clone() {
+        let row_out = &mut out[i * n + jj..];
+        for c in (0..grouped).step_by(GROUP * NR) {
+            let blks: [&[f32]; GROUP] =
+                std::array::from_fn(|q| &panel[(c + q * NR) * kc..(c + (q + 1) * NR) * kc]);
+            let mut acc = [C::zero(); GROUP];
+            for (p, &x) in a_row.iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                let xv = C::splat(x);
+                for (accq, blk) in acc.iter_mut().zip(&blks) {
+                    *accq = accq.add(xv.mul(C::load(&blk[p * NR..])));
+                }
+            }
+            for (q, accq) in acc.into_iter().enumerate() {
+                accq.accum_into(&mut row_out[c + q * NR..]);
+            }
+        }
+        // Leftover blocks (and the zero-padded partial one), one at a time.
+        for (c, width) in blocks.clone().skip(grouped / NR) {
             let blk = &panel[c * kc..(c + NR) * kc];
             let mut acc = C::zero();
             for (p, &x) in a_row.iter().enumerate() {
@@ -905,7 +933,7 @@ fn gemm_panel_body<C: ColBlock>(
                 }
                 acc = acc.add(C::splat(x).mul(C::load(&blk[p * NR..])));
             }
-            flush(acc, &mut out[i * n + jj + c..], width);
+            flush(acc, &mut row_out[c..], width);
         }
         i += 1;
     }

@@ -137,6 +137,74 @@ fn gemm_cols_bitwise_across_levels() {
 }
 
 #[test]
+fn gemm_packed_bitwise_across_levels() {
+    let _g = level_guard();
+    // Pre-packed panels: serial, row split, and a column split over a
+    // catalog-shaped operand, with one and two KC depth panels.
+    for &(m, k, n) in &[
+        (1usize, 32usize, 18_000usize),
+        (2, 32, 18_000),
+        (5, 300, 203),
+        (9, 31, 1_000),
+    ] {
+        let a = Tensor::from_vec(gemm_lhs(m, k, 37), &[m, k]);
+        let rows = uniform(&[n, k], -1.0, 1.0, &mut SeedRng::seed(39));
+        let packed = matmul::PackedRhs::pack_rows(&rows);
+        assert_levels_bitwise(&format!("gemm packed {m}x{k}x{n}"), || {
+            matmul::matmul_packed(&a, &packed).into_vec()
+        });
+    }
+}
+
+#[test]
+fn gemm_sub_mr_rows_bitwise_across_levels() {
+    let _g = level_guard();
+    // Remainder rows accumulate four NR blocks per pass, then one block at
+    // a time: 1–9 NR blocks (panels of 1–4 blocks, so a four-block group
+    // and every leftover count), with and without a zero-padded tail, at
+    // depths from 1 to a full KC panel. Within one KC panel every column
+    // is the serial kernel's chain — from +0.0 over the depth ascending,
+    // zero terms skipped — so `gemm_serial` is a bit oracle too (the 4-row
+    // tile of m = 5 does not skip zeros, so its `b` stays finite).
+    for m in [1usize, 2, 3, 5] {
+        for blocks in 1..=9usize {
+            for n in [blocks * 16, blocks * 16 - 5] {
+                for k in [1usize, 7, 32, 255, 256] {
+                    let a = gemm_lhs(m, k, 43);
+                    let mut b = uniform(&[k, n], -1.0, 1.0, &mut SeedRng::seed(47))
+                        .data()
+                        .to_vec();
+                    if m < 4 {
+                        // Only remainder rows: an infinity meets a zero
+                        // element of `a` (k = 7; k = 32 and 256 at m = 3)
+                        // that both kernels must skip rather than turn
+                        // into NaN.
+                        b[k / 2 * n + n / 2] = f32::INFINITY;
+                    }
+                    let mut serial = vec![0.0f32; m * n];
+                    matmul::gemm_serial(&a, &b, &mut serial, m, k, n);
+                    let what = format!("gemm sub-MR {m}x{k}x{n}");
+                    assert_levels_bitwise(&what, || {
+                        let mut out = vec![0.0f32; m * n];
+                        matmul::gemm_blocked(&a, &b, &mut out, m, k, n);
+                        let same = out
+                            .iter()
+                            .zip(&serial)
+                            .all(|(o, s)| o.to_bits() == s.to_bits());
+                        assert!(
+                            same,
+                            "{what} at {}: differs from gemm_serial",
+                            simd::level()
+                        );
+                        out
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn matvec_bitwise_across_levels() {
     let _g = level_guard();
     for &(m, k) in &[(1usize, 3usize), (7, 8), (5, 67)] {
