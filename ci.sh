@@ -103,6 +103,9 @@ run_simd() {
     # below never reaches the GEMM's multi-panel column split or the
     # pre-packed catalog's reload, so the 18k-item test runs here too.
     IST_SIMD=scalar cargo test -q --release --locked -p ist-serve --test wide_catalog
+    # Products that read a transposed operand in place, scalar: the test
+    # sweeps the levels itself, and this pins the process's starting level.
+    IST_SIMD=scalar cargo test -q --release --locked -p ist-tensor --test transposed_operands
 
     # Quickstart losses: forcing IST_SIMD=scalar must not change a bit
     # against the auto-detected best level, and the best level must stay

@@ -76,6 +76,13 @@ pub fn log_softmax_lastdim(a: &Var) -> Var {
 /// `logits` is `[R, V]`; row `r` is scored against class `targets[r]` with
 /// weight `weights[r]` (0 for padded positions). The loss is the weighted
 /// mean `Σ w_r · (-log p_r[t_r]) / Σ w_r`.
+///
+/// Only rows with a nonzero weight are computed: the forward takes their
+/// log-sum-exp and the backward their softmax, through the same per-row
+/// code as [`reduce::log_softmax_lastdim`] and [`reduce::softmax_lastdim`],
+/// so the loss and gradient bits equal the full-row computation's. A
+/// zero-weight row is never read (it may hold non-finite logits or an
+/// out-of-range target) and gets a zero gradient.
 pub fn cross_entropy_rows(logits: &Var, targets: &[usize], weights: &[f32]) -> Var {
     let _p = crate::profile::fwd("cross_entropy_rows");
     let lv = logits.value();
@@ -89,18 +96,19 @@ pub fn cross_entropy_rows(logits: &Var, targets: &[usize], weights: &[f32]) -> V
         "cross_entropy_rows needs at least one positive weight"
     );
 
-    let logp = reduce::log_softmax_lastdim(&lv);
-    let mut loss = 0.0f32;
-    for r in 0..rows {
-        if weights[r] == 0.0 {
-            continue; // padded rows may carry out-of-range sentinel targets
-        }
+    let weighted: Vec<bool> = weights.iter().map(|&w| w != 0.0).collect();
+    for r in (0..rows).filter(|&r| weighted[r]) {
         assert!(
             targets[r] < classes,
             "target {} out of range {classes}",
             targets[r]
         );
-        loss -= weights[r] * logp.data()[r * classes + targets[r]];
+    }
+    let lse = reduce::logsumexp_lastdim_where(&lv, &weighted);
+    let mut loss = 0.0f32;
+    for r in (0..rows).filter(|&r| weighted[r]) {
+        // Element `t_r` of the row's log-softmax.
+        loss -= weights[r] * (lv.data()[r * classes + targets[r]] - lse[r]);
     }
     loss /= wsum;
 
@@ -112,14 +120,10 @@ pub fn cross_entropy_rows(logits: &Var, targets: &[usize], weights: &[f32]) -> V
         Box::new(move |g, _| {
             let scale = g.item() / wsum;
             // d loss / d logits_r = w_r/W · (softmax(logits_r) - onehot).
-            let mut dx = reduce::softmax_lastdim(&lv).into_vec();
-            for r in 0..rows {
+            let mut dx = reduce::softmax_lastdim_where(&lv, &weighted).into_vec();
+            for r in (0..rows).filter(|&r| weighted[r]) {
                 let w = weights_owned[r] * scale;
                 let row = &mut dx[r * classes..(r + 1) * classes];
-                if weights_owned[r] == 0.0 {
-                    row.fill(0.0);
-                    continue;
-                }
                 for v in row.iter_mut() {
                     *v *= w;
                 }
@@ -234,7 +238,7 @@ pub fn cosine_similarity_rows(x: &Var, c: &Var) -> Var {
         })
         .collect();
 
-    let dots = ist_tensor::matmul::matmul(&xv, &cv.t());
+    let dots = ist_tensor::matmul::matmul_nt(&xv, &cv);
     let mut out = vec![0.0f32; m * k];
     for i in 0..m {
         for j in 0..k {

@@ -5,7 +5,10 @@
 //! the operand shapes with [`Tensor::reduce_to`] (the adjoint of
 //! broadcasting).
 
-use ist_tensor::{matmul as mm, ops as t, Tensor};
+use std::sync::Arc;
+
+use ist_tensor::matmul::{self as mm, Adjacency};
+use ist_tensor::{ops as t, Tensor};
 
 use crate::tape::{Tape, Var};
 
@@ -70,8 +73,8 @@ pub fn mul(a: &Var, b: &Var) -> Var {
         vec![a.id, b.id],
         Some(Box::new(move |g, needs| {
             vec![
-                needs[0].then(|| t::mul(g, &bv).reduce_to(&sa)),
-                needs[1].then(|| t::mul(g, &av).reduce_to(&sb)),
+                needs[0].then(|| t::mul_reduce_to(g, &bv, &sa)),
+                needs[1].then(|| t::mul_reduce_to(g, &av, &sb)),
             ]
         })),
         a.requires_grad() || b.requires_grad(),
@@ -136,7 +139,8 @@ pub fn scale(a: &Var, s: f32) -> Var {
     )
 }
 
-/// 2-D matrix product `a[m×k] · b[k×n]`.
+/// 2-D matrix product `a[m×k] · b[k×n]`. The backward reads the
+/// transposed operands in place: `g · bᵀ` and `aᵀ · g`.
 pub fn matmul(a: &Var, b: &Var) -> Var {
     let _p = crate::profile::fwd("matmul");
     let tape = same_tape(a, b);
@@ -147,15 +151,38 @@ pub fn matmul(a: &Var, b: &Var) -> Var {
         vec![a.id, b.id],
         Some(Box::new(move |g, needs| {
             vec![
-                needs[0].then(|| mm::matmul(g, &bv.t())),
-                needs[1].then(|| mm::matmul(&av.t(), g)),
+                needs[0].then(|| mm::matmul_nt(g, &bv)),
+                needs[1].then(|| mm::matmul_tn(&av, g)),
             ]
         })),
         a.requires_grad() || b.requires_grad(),
     )
 }
 
-/// Batched matrix product `a[B×m×k] · b[B×k×n]`.
+/// `a[m×k] · b[n×k]ᵀ`, `bᵀ` read in place — the scoring of every row of
+/// `a` against a table of rows `b`. Bitwise equal to a [`matmul`] of `a`
+/// with the transposed table, forward and backward; profiled as a
+/// `matmul`. `b`'s gradient is `aᵀ · g`, transposed.
+pub fn matmul_nt(a: &Var, b: &Var) -> Var {
+    let _p = crate::profile::fwd("matmul");
+    let tape = same_tape(a, b);
+    let (av, bv) = (a.value(), b.value());
+    let out = mm::matmul_nt(&av, &bv);
+    tape.push(
+        out,
+        vec![a.id, b.id],
+        Some(Box::new(move |g, needs| {
+            vec![
+                needs[0].then(|| mm::matmul(g, &bv)),
+                needs[1].then(|| mm::matmul_tn(&av, g).t()),
+            ]
+        })),
+        a.requires_grad() || b.requires_grad(),
+    )
+}
+
+/// Batched matrix product `a[B×m×k] · b[B×k×n]`. The backward reads the
+/// transposed operands in place, as [`matmul`]'s does.
 pub fn bmm(a: &Var, b: &Var) -> Var {
     let _p = crate::profile::fwd("bmm");
     let tape = same_tape(a, b);
@@ -166,56 +193,67 @@ pub fn bmm(a: &Var, b: &Var) -> Var {
         vec![a.id, b.id],
         Some(Box::new(move |g, needs| {
             vec![
-                needs[0].then(|| mm::bmm(g, &bv.transpose_last2())),
-                needs[1].then(|| mm::bmm(&av.transpose_last2(), g)),
+                needs[0].then(|| mm::bmm_nt(g, &bv)),
+                needs[1].then(|| mm::bmm_tn(&av, g)),
             ]
         })),
         a.requires_grad() || b.requires_grad(),
     )
 }
 
-/// 2-D transpose.
-pub fn transpose(a: &Var) -> Var {
-    let _p = crate::profile::fwd("transpose");
-    let out = a.value().t();
-    a.tape.push(
+/// Batched `a[B×m×k] · b[B×n×k]ᵀ`, each `bᵀ` read in place — attention's
+/// `q · kᵀ`. Bitwise equal to a [`bmm`] with `b`'s last two axes
+/// transposed, forward and backward; profiled as a `bmm`.
+pub fn bmm_nt(a: &Var, b: &Var) -> Var {
+    let _p = crate::profile::fwd("bmm");
+    let tape = same_tape(a, b);
+    let (av, bv) = (a.value(), b.value());
+    let out = mm::bmm_nt(&av, &bv);
+    tape.push(
         out,
-        vec![a.id],
-        Some(Box::new(|g, _| vec![Some(g.t())])),
-        a.requires_grad(),
-    )
-}
-
-/// Transpose of the last two axes (rank ≥ 2).
-pub fn transpose_last2(a: &Var) -> Var {
-    let _p = crate::profile::fwd("transpose_last2");
-    let out = a.value().transpose_last2();
-    a.tape.push(
-        out,
-        vec![a.id],
-        Some(Box::new(|g, _| vec![Some(g.transpose_last2())])),
-        a.requires_grad(),
+        vec![a.id, b.id],
+        Some(Box::new(move |g, needs| {
+            vec![
+                needs[0].then(|| mm::bmm(g, &bv)),
+                needs[1].then(|| mm::bmm_tn(&av, g).transpose_last2()),
+            ]
+        })),
+        a.requires_grad() || b.requires_grad(),
     )
 }
 
 /// Graph propagation in the features' own layout:
 /// `out[r, i, :] = Σ_j adj[i, j] · h[r, j, :]` for `adj: [M, K]` and
-/// `h: [R, K, d]` → `[R, M, d]` ([`mm::propagate`], which documents the
+/// `h: [R, K, d]` → `[R, M, d]` ([`Adjacency`], which documents the
 /// bits). The backward applies `adjᵀ` to the gradient the same way and,
 /// when `adj` requires it, returns `adj`'s gradient
-/// ([`mm::propagate_adj_grad`]).
+/// ([`mm::propagate_adj_grad`]). Prepares `adj` on every call; an
+/// adjacency propagated through several times is prepared once for
+/// [`propagate_with`].
 pub fn propagate(adj: &Var, h: &Var) -> Var {
+    propagate_with(adj, &Arc::new(Adjacency::new(adj.value())), h)
+}
+
+/// [`propagate`] through `prepared`, which holds `adj`'s value with its
+/// compressed rows (and, once the backward needs them, those of its
+/// transpose) already built.
+pub fn propagate_with(adj: &Var, prepared: &Arc<Adjacency>, h: &Var) -> Var {
     let _p = crate::profile::fwd("propagate");
     let tape = same_tape(adj, h);
-    let (av, hv) = (adj.value(), h.value());
-    let out = mm::propagate(&av, &hv);
+    debug_assert!(
+        std::ptr::eq(adj.value().data(), prepared.dense().data()),
+        "adjacency was prepared from another value"
+    );
+    let hv = h.value();
+    let out = prepared.propagate(&hv);
+    let prepared = Arc::clone(prepared);
     tape.push(
         out,
         vec![adj.id, h.id],
         Some(Box::new(move |g, needs| {
             vec![
                 needs[0].then(|| mm::propagate_adj_grad(g, &hv)),
-                needs[1].then(|| mm::propagate(&av.t(), g)),
+                needs[1].then(|| prepared.propagate_t(g)),
             ]
         })),
         adj.requires_grad() || h.requires_grad(),
@@ -500,9 +538,11 @@ mod tests {
         check_grads(&[rt(7, &[2, 3, 4]), rt(8, &[2, 4, 2])], |_, xs| {
             sum_squares(&bmm(&xs[0], &xs[1]))
         });
-        check_grads(&[rt(9, &[3, 4])], |_, xs| sum_squares(&transpose(&xs[0])));
-        check_grads(&[rt(10, &[2, 3, 4])], |_, xs| {
-            sum_squares(&transpose_last2(&xs[0]))
+        check_grads(&[rt(9, &[3, 4]), rt(22, &[5, 4])], |_, xs| {
+            sum_squares(&matmul_nt(&xs[0], &xs[1]))
+        });
+        check_grads(&[rt(10, &[2, 3, 4]), rt(23, &[2, 5, 4])], |_, xs| {
+            sum_squares(&bmm_nt(&xs[0], &xs[1]))
         });
     }
 

@@ -118,7 +118,7 @@ impl Bert4Rec {
         let x = st.encoder.forward(ctx, &h0, batch, len, &mask);
         let table = st.items.full(ctx);
         let items = ops::slice_rows(&table, 0, st.num_items);
-        ops::matmul(&x, &ops::transpose(&items))
+        ops::matmul_nt(&x, &items)
     }
 
     fn params(&self) -> Vec<ist_autograd::Param> {

@@ -229,7 +229,7 @@ impl SequentialRecommender for Gru4Rec {
                 Gru4RecLoss::BprMax => {
                     let table = st.items.full(&ctx);
                     let items = ops::slice_rows(&table, 0, st.num_items);
-                    ops::matmul(&h, &ops::transpose(&items))
+                    ops::matmul_nt(&h, &items)
                 }
             };
             let lv = logits.value();

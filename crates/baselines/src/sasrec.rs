@@ -102,7 +102,7 @@ impl SasRec {
         // Weight-tied output layer, as in the original paper.
         let table = st.items.full(ctx);
         let items = ops::slice_rows(&table, 0, st.num_items);
-        ops::matmul(&x, &ops::transpose(&items))
+        ops::matmul_nt(&x, &items)
     }
 
     fn params(&self) -> Vec<ist_autograd::Param> {

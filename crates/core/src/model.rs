@@ -1,6 +1,8 @@
 //! The ISRec model: encoder → intent extraction → structured transition →
 //! intent decoder.
 
+use std::sync::Arc;
+
 use ist_autograd::{fused, ops, Param, Var};
 use ist_data::sampling::{SeqBatch, SeqBatcher};
 use ist_data::{LeaveOneOut, SequentialDataset};
@@ -9,7 +11,7 @@ use ist_nn::attention::{attention_mask, TransformerEncoder};
 use ist_nn::embedding::{Embedding, PositionalEmbedding};
 use ist_nn::linear::Linear;
 use ist_nn::{ctx::dropout, init, Ctx, Module};
-use ist_tensor::matmul::{matmul, PackedRhs};
+use ist_tensor::matmul::{matmul, Adjacency, PackedRhs};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use ist_tensor::{reduce, Tensor};
 
@@ -54,7 +56,9 @@ pub struct Isrec {
     down_w: Param,
     down_b: Param,
     anchor_gamma: Param,
-    norm_adj: Tensor,
+    /// The concept graph's normalised adjacency, prepared once for the
+    /// GCN's propagations.
+    norm_adj: Arc<Adjacency>,
     /// Learnable adjacency logits (only in `Learned`/`Mixed` modes),
     /// row-softmaxed at forward time; initialised from the concept graph.
     adj_logits: Option<Param>,
@@ -126,7 +130,7 @@ impl Isrec {
                 }
                 Param::new("isrec.adj_logits", logits)
             }),
-            norm_adj: normalized_adjacency(&dataset.concept_graph),
+            norm_adj: Arc::new(Adjacency::new(normalized_adjacency(&dataset.concept_graph))),
             item_concepts,
             cfg,
         }
@@ -246,7 +250,7 @@ impl Isrec {
                         AdjacencyMode::Learned => learned,
                         _ => {
                             // Mixed: average with the fixed normalisation.
-                            let fixed = ctx.tape.constant(self.norm_adj.clone());
+                            let fixed = ctx.tape.constant(self.norm_adj.dense().clone());
                             ops::scale(&ops::add(&learned, &fixed), 0.5)
                         }
                     };
@@ -335,7 +339,7 @@ impl Isrec {
         let x = self.encode(ctx, batch);
         let (x_next, trace) = self.intent_pipeline(ctx, &x, collect);
         let items = self.output_item_table(ctx);
-        let logits = ops::matmul(&x_next, &ops::transpose(&items));
+        let logits = ops::matmul_nt(&x_next, &items);
         (logits, trace)
     }
 
@@ -406,7 +410,7 @@ impl Isrec {
     /// a stack of [`Isrec::infer_last_repr`] rows with one GEMM. Serving
     /// uses [`Isrec::output_item_panels`] instead.
     pub fn output_item_table_t(&self) -> Tensor {
-        ops::transpose(&self.output_item_table(&Ctx::inference())).value()
+        self.output_item_table(&Ctx::inference()).value().t()
     }
 
     /// The same table as [`Isrec::output_item_table_t`], packed straight

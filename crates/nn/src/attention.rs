@@ -148,7 +148,7 @@ impl MultiHeadSelfAttention {
             let k3 = ops::reshape(&k, &[batch, len, self.dh]);
             let v3 = ops::reshape(&v, &[batch, len, self.dh]);
 
-            let scores = ops::scale(&ops::bmm(&q3, &ops::transpose_last2(&k3)), scale);
+            let scores = ops::scale(&ops::bmm_nt(&q3, &k3), scale);
             let masked = ops::add(&scores, &mask_var);
             let attn = fused::softmax_lastdim(&masked);
             let attn = dropout(ctx, &attn, attn_dropout);

@@ -1,8 +1,10 @@
 //! Graph convolution layers (Eq. 10) applied to batched node features.
 
+use std::sync::Arc;
+
 use ist_autograd::{ops, Param, Var};
+use ist_tensor::matmul::Adjacency;
 use ist_tensor::rng::SeedRng;
-use ist_tensor::Tensor;
 
 use crate::init;
 use crate::module::Module;
@@ -14,7 +16,9 @@ use crate::Ctx;
 /// Supports a *batched* forward: `H: [R, K, d]` is `R` independent copies of
 /// the node features (one per sequence position in ISRec). `N` is applied to
 /// each in place in that layout, over `N`'s nonzeros
-/// ([`ops::propagate`]), and `W` by one GEMM on the `[R·K, d]` view.
+/// ([`ops::propagate_with`]), and `W` by one GEMM on the `[R·K, d]` view.
+/// `N` comes prepared as an [`Adjacency`], so its compressed rows are built
+/// once per adjacency, not once per layer call.
 pub struct GcnLayer {
     /// Learnable weight `[d_in, d_out]`.
     pub weight: Param,
@@ -53,22 +57,30 @@ impl GcnLayer {
     }
 
     /// `h: [R, K, d_in]`, `norm_adj: [K, K]` constant → `[R, K, d_out]`.
-    pub fn forward(&self, ctx: &Ctx, h: &Var, norm_adj: &Tensor) -> Var {
-        let n = ctx.tape.constant(norm_adj.clone());
-        self.forward_adj_var(ctx, h, &n)
+    pub fn forward(&self, ctx: &Ctx, h: &Var, norm_adj: &Arc<Adjacency>) -> Var {
+        let n = ctx.tape.constant(norm_adj.dense().clone());
+        self.forward_adj_var(ctx, h, &n, norm_adj)
     }
 
     /// Like [`GcnLayer::forward`] but the adjacency is itself a variable —
     /// used by the learned-relations extension (the paper's §3.5 note that
     /// the method "can also be extended to … learning the relation").
-    pub fn forward_adj_var(&self, ctx: &Ctx, h: &Var, norm_adj: &Var) -> Var {
+    /// `prepared` holds `norm_adj`'s value.
+    pub fn forward_adj_var(
+        &self,
+        ctx: &Ctx,
+        h: &Var,
+        norm_adj: &Var,
+        prepared: &Arc<Adjacency>,
+    ) -> Var {
         let shape = h.shape();
         assert_eq!(shape.len(), 3, "GcnLayer expects [R, K, d], got {shape:?}");
         let (r, k, d) = (shape[0], shape[1], shape[2]);
         assert_eq!(norm_adj.shape(), vec![k, k]);
 
         // (N·H)·W: propagate every copy in place, then one flat GEMM.
-        let flat = ops::reshape(&ops::propagate(norm_adj, h), &[r * k, d]);
+        let propagated = ops::propagate_with(norm_adj, prepared, h);
+        let flat = ops::reshape(&propagated, &[r * k, d]);
         let w = self.weight.leaf(&ctx.tape);
         let out = ops::matmul(&flat, &w);
         let out = if self.relu { ops::relu(&out) } else { out };
@@ -112,19 +124,26 @@ impl Gcn {
         Gcn { layers }
     }
 
-    /// Message-passing transition `Z_{t+1} = F(Z_t, A)` of Eq. (9).
-    pub fn forward(&self, ctx: &Ctx, h: &Var, norm_adj: &Tensor) -> Var {
-        let n = ctx.tape.constant(norm_adj.clone());
-        self.forward_adj_var(ctx, h, &n)
+    /// Message-passing transition `Z_{t+1} = F(Z_t, A)` of Eq. (9), under
+    /// a fixed adjacency prepared once by the caller.
+    pub fn forward(&self, ctx: &Ctx, h: &Var, norm_adj: &Arc<Adjacency>) -> Var {
+        let n = ctx.tape.constant(norm_adj.dense().clone());
+        self.run(ctx, h, &n, norm_adj)
     }
 
-    /// Transition under a *variable* adjacency (learned-relations mode).
+    /// Transition under a *variable* adjacency (learned-relations mode),
+    /// prepared once here for every layer.
     pub fn forward_adj_var(&self, ctx: &Ctx, h: &Var, norm_adj: &Var) -> Var {
+        let prepared = Arc::new(Adjacency::new(norm_adj.value()));
+        self.run(ctx, h, norm_adj, &prepared)
+    }
+
+    fn run(&self, ctx: &Ctx, h: &Var, norm_adj: &Var, prepared: &Arc<Adjacency>) -> Var {
         let shape = h.shape();
         let _timing = GCN_TIMER.start_with(shape.iter().take(2).product::<usize>() as u64);
         let mut out = h.clone();
         for layer in &self.layers {
-            out = layer.forward_adj_var(ctx, &out, norm_adj);
+            out = layer.forward_adj_var(ctx, &out, norm_adj, prepared);
         }
         out
     }
@@ -140,9 +159,10 @@ impl Module for Gcn {
 mod tests {
     use super::*;
     use ist_tensor::rng::{uniform, SeedRngExt as _};
+    use ist_tensor::Tensor;
 
     /// Normalised adjacency of a 3-node path graph with self-loops.
-    fn path3_norm_adj() -> Tensor {
+    fn path3_norm_adj() -> Arc<Adjacency> {
         // Â = A + I for path 0-1-2; D̂ = diag(2,3,2).
         let ahat = [[1., 1., 0.], [1., 1., 1.], [0., 1., 1.]];
         let deg = [2.0f32, 3.0, 2.0];
@@ -152,7 +172,7 @@ mod tests {
                 n[i * 3 + j] = ahat[i][j] / (deg[i] * deg[j]).sqrt();
             }
         }
-        Tensor::from_vec(n, &[3, 3])
+        Arc::new(Adjacency::new(Tensor::from_vec(n, &[3, 3])))
     }
 
     #[test]

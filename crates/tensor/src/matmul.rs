@@ -1,8 +1,14 @@
 //! Matrix multiplication: cache-blocked 2-D GEMM parallelised over the
 //! shared worker pool, a right-hand side packed once and multiplied many
 //! times ([`PackedRhs`]), matrix–vector products, batched 3-D `bmm`, and
-//! [`propagate`], which applies one sparse adjacency to a batch of
+//! [`Adjacency`], which applies one sparse adjacency to a batch of
 //! node-feature matrices in their own layout.
+//!
+//! Either operand of a 2-D or batched product can be the transpose of a
+//! stored matrix, read in place ([`matmul_nt`], [`matmul_tn`], [`bmm_nt`],
+//! [`bmm_tn`]): the right-hand side through the strides its panels are
+//! packed with, the left-hand side by the micro-kernel itself. Each is
+//! bitwise equal to multiplying the materialised transpose.
 //!
 //! The production kernel ([`gemm_blocked`]) tiles over N (`NC` columns) and
 //! K (`KC` rows of `b`). Each `b` panel is either packed into this
@@ -39,7 +45,7 @@
 //! [`crate::pool::GEMM_SERIAL_CUTOFF`].
 
 use crate::pool;
-use crate::simd::{self, PanelGeom, MR, NR};
+use crate::simd::{self, PanelGeom, KC, MR, NR};
 use crate::Tensor;
 
 /// Aggregate GEMM telemetry: total multiply-add work feeds a GFLOP/s rate
@@ -64,8 +70,6 @@ static GEMM_PACK_BYTES: ist_obs::Counter = ist_obs::Counter::new("tensor.gemm.pa
 
 /// Columns of `b` packed per panel (`NC · KC` floats ≈ 64 KiB, L2-resident).
 const NC: usize = 64;
-/// Rows of `b` (depth) packed per panel.
-const KC: usize = 256;
 
 /// Snapshot of the packing-workspace counters as
 /// `(pack_reuse, pack_bytes)` — test hook for the zero-alloc steady-state
@@ -103,8 +107,9 @@ pub fn gemm_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 /// same as [`gemm_serial`], so blocked and unblocked kernels agree to
 /// floating-point rounding (≤ 1e-4 relative at this workspace's scales).
 pub fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    gemm_blocked_view(a, Panels::pack(b, n), out, m, k, n);
+    gemm_blocked_view(Lhs::rows(a, k), Panels::pack(b, n), out, m, k, n);
 }
 
 /// Cache-blocked GEMM over a *column block* of `b`:
@@ -135,7 +140,15 @@ pub fn gemm_cols(
         "column block {col0}..{} exceeds table width {n_full}",
         col0 + ncols
     );
-    gemm_blocked_view(a, Panels::pack(b, n_full).at(col0), out, m, k, ncols);
+    debug_assert_eq!(a.len(), m * k);
+    gemm_blocked_view(
+        Lhs::rows(a, k),
+        Panels::pack(b, n_full).at(col0),
+        out,
+        m,
+        k,
+        ncols,
+    );
 }
 
 /// A `[k, n]` right-hand side held in exactly the panel layout the GEMM
@@ -251,15 +264,74 @@ fn pack_panel(
     }
 }
 
+/// The left-hand side `[m, k]` of a GEMM as it lies in memory: element
+/// `(i, p)` is `a[i·ld + p]`, or `a[p·ld + i]` when `trans` is set — the
+/// transpose of a row-major `[k, ld]` matrix, read in place.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    a: &'a [f32],
+    ld: usize,
+    trans: bool,
+}
+
+impl<'a> Lhs<'a> {
+    /// Row-major `a: [m, k]`.
+    fn rows(a: &'a [f32], k: usize) -> Lhs<'a> {
+        Lhs {
+            a,
+            ld: k,
+            trans: false,
+        }
+    }
+
+    /// The transpose of a row-major `a: [k, m]`.
+    fn cols(a: &'a [f32], m: usize) -> Lhs<'a> {
+        Lhs {
+            a,
+            ld: m,
+            trans: true,
+        }
+    }
+
+    /// The same operand from row `row0` on.
+    fn skip_rows(self, row0: usize) -> Lhs<'a> {
+        let at = if self.trans { row0 } else { row0 * self.ld };
+        Lhs {
+            a: &self.a[at..],
+            ..self
+        }
+    }
+
+    /// Appends to `flags` whether each of rows `0..m` is zero at every
+    /// depth `0..k`. A transposed operand's rows are columns of the
+    /// stored matrix, so they are found in one row-major pass over it.
+    fn zero_rows(self, m: usize, k: usize, flags: &mut Vec<bool>) {
+        if self.trans {
+            flags.resize(flags.len() + m, true);
+            let flags = &mut flags[..m];
+            for p in 0..k {
+                for (z, &v) in flags.iter_mut().zip(&self.a[p * self.ld..][..m]) {
+                    *z &= v == 0.0;
+                }
+            }
+        } else {
+            flags.extend((0..m).map(|i| self.a[i * self.ld..][..k].iter().all(|&v| v == 0.0)));
+        }
+    }
+}
+
 /// Where [`gemm_blocked_view`] takes each panel of the right-hand side
 /// from, viewed from column `col0` on.
 #[derive(Clone, Copy)]
 enum Panels<'a> {
-    /// Packed per call into this thread's workspace from the row-major
-    /// `b`, whose rows are `stride` floats apart.
+    /// Packed per call into this thread's workspace from `b`, whose
+    /// element `(p, j)` is `b[p·row + j·col]`: a row-major `[k, n]` has
+    /// `(row, col) = (n, 1)`, and the transpose of a row-major `[n, k]`,
+    /// read in place, `(1, k)`.
     Pack {
         b: &'a [f32],
-        stride: usize,
+        row: usize,
+        col: usize,
         col0: usize,
     },
     /// Borrowed from a [`PackedRhs`]; `col0` is NC-aligned, so the view's
@@ -268,16 +340,33 @@ enum Panels<'a> {
 }
 
 impl<'a> Panels<'a> {
+    /// Row-major `b`, whose rows are `stride` floats apart.
     fn pack(b: &'a [f32], stride: usize) -> Panels<'a> {
-        Panels::Pack { b, stride, col0: 0 }
+        Panels::Pack {
+            b,
+            row: stride,
+            col: 1,
+            col0: 0,
+        }
+    }
+
+    /// The transpose of a row-major `b: [n, k]`.
+    fn pack_t(b: &'a [f32], k: usize) -> Panels<'a> {
+        Panels::Pack {
+            b,
+            row: 1,
+            col: k,
+            col0: 0,
+        }
     }
 
     /// The same operand viewed from `by` columns further right.
     fn at(self, by: usize) -> Panels<'a> {
         match self {
-            Panels::Pack { b, stride, col0 } => Panels::Pack {
+            Panels::Pack { b, row, col, col0 } => Panels::Pack {
                 b,
-                stride,
+                row,
+                col,
                 col0: col0 + by,
             },
             Panels::Borrow { rhs, col0 } => {
@@ -292,10 +381,10 @@ impl<'a> Panels<'a> {
 }
 
 /// Shared body of every 2-D GEMM: `out[m×n] += a[m×k] · src[k×n]`, the
-/// output a dense `m×n` block. The micro-kernel is untouched — only the
-/// panel source knows about strides, column offsets or pre-packing.
-fn gemm_blocked_view(a: &[f32], src: Panels<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
+/// output a dense `m×n` block. Only the panel source knows about the
+/// right-hand side's strides, column offsets or pre-packing; the
+/// micro-kernel reads `a` in either layout.
+fn gemm_blocked_view(a: Lhs<'_>, src: Panels<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -330,27 +419,28 @@ fn gemm_blocked_view(a: &[f32], src: Panels<'_>, out: &mut [f32], m: usize, k: u
         // Padded sequence positions show up as all-zero rows of `a`; find
         // them once (an O(m·k) scan against O(m·n·k) work) and skip them
         // everywhere.
-        row_zero.extend((0..m).map(|i| a[i * k..(i + 1) * k].iter().all(|&v| v == 0.0)));
+        a.zero_rows(m, k, row_zero);
 
         for jj in (0..n).step_by(NC) {
             let nc = NC.min(n - jj);
             for kk in (0..k).step_by(KC) {
                 let kc = KC.min(k - kk);
                 let panel: &[f32] = match src {
-                    Panels::Pack { b, stride, col0 } => {
-                        pack_panel(b, stride, 1, kk, kc, col0 + jj, nc, scratch);
+                    Panels::Pack { b, row, col, col0 } => {
+                        pack_panel(b, row, col, kk, kc, col0 + jj, nc, scratch);
                         scratch
                     }
                     Panels::Borrow { rhs, col0 } => rhs.panel(col0 + jj, kk),
                 };
                 kernel.call(
-                    a,
+                    a.a,
                     row_zero,
                     panel,
                     out,
                     PanelGeom {
                         m,
-                        k,
+                        lda: a.ld,
+                        a_t: a.trans,
                         n,
                         kk,
                         kc,
@@ -372,10 +462,58 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// scaling by passing pools of different sizes; everything else uses
 /// [`matmul`]).
 pub fn matmul_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
-    assert_eq!(b.rank(), 2, "matmul rhs must be 2-D, got {:?}", b.shape());
-    let n = b.shape()[1];
-    gemm_in(pool, a, b.shape(), Panels::pack(b.data(), n))
+    let ([m, k], [k2, n]) = (dims2(a, "lhs"), dims2(b, "rhs"));
+    gemm_in(
+        pool,
+        Lhs::rows(a.data(), k),
+        [m, k],
+        [k2, n],
+        Panels::pack(b.data(), n),
+    )
+}
+
+/// `a[m×k] · b[n×k]ᵀ → [m×n]` on the global pool, `bᵀ` packed straight
+/// from `b`'s rows. Bitwise equal to `matmul(a, &b.t())`.
+pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_nt_in(pool::global(), a, b)
+}
+
+/// [`matmul_nt`] on an explicit pool.
+pub fn matmul_nt_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
+    let ([m, k], [n, k2]) = (dims2(a, "lhs"), dims2(b, "rhs"));
+    gemm_in(
+        pool,
+        Lhs::rows(a.data(), k),
+        [m, k],
+        [k2, n],
+        Panels::pack_t(b.data(), k2),
+    )
+}
+
+/// `a[k×m]ᵀ · b[k×n] → [m×n]` on the global pool, `aᵀ` read in place
+/// from `a`'s columns. Bitwise equal to `matmul(&a.t(), b)`.
+pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    matmul_tn_in(pool::global(), a, b)
+}
+
+/// [`matmul_tn`] on an explicit pool.
+pub fn matmul_tn_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
+    let ([k, m], [k2, n]) = (dims2(a, "lhs"), dims2(b, "rhs"));
+    gemm_in(
+        pool,
+        Lhs::cols(a.data(), m),
+        [m, k],
+        [k2, n],
+        Panels::pack(b.data(), n),
+    )
+}
+
+/// The extents of a 2-D matmul operand.
+fn dims2(t: &Tensor, side: &str) -> [usize; 2] {
+    match *t.shape() {
+        [r, c] => [r, c],
+        _ => panic!("matmul {side} must be 2-D, got {:?}", t.shape()),
+    }
 }
 
 /// `a[m×k] · rhs → [m×n]` with the panels read in place from `rhs`, on
@@ -386,17 +524,25 @@ pub fn matmul_packed(a: &Tensor, rhs: &PackedRhs) -> Tensor {
 
 /// [`matmul_packed`] on an explicit pool.
 pub fn matmul_packed_in(pool: &pool::ThreadPool, a: &Tensor, rhs: &PackedRhs) -> Tensor {
-    assert_eq!(a.rank(), 2, "matmul lhs must be 2-D, got {:?}", a.shape());
-    gemm_in(pool, a, &[rhs.k, rhs.n], Panels::Borrow { rhs, col0: 0 })
+    let [m, k] = dims2(a, "lhs");
+    let src = Panels::Borrow { rhs, col0: 0 };
+    gemm_in(pool, Lhs::rows(a.data(), k), [m, k], [rhs.k, rhs.n], src)
 }
 
-/// The one serial / row-split / column-split decision behind
-/// [`matmul_in`] and [`matmul_packed_in`]: `a[m×k] · src[k×n]`, where
-/// `b_shape` is `[k, n]`.
-fn gemm_in(pool: &pool::ThreadPool, a: &Tensor, b_shape: &[usize], src: Panels<'_>) -> Tensor {
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    let (k2, n) = (b_shape[0], b_shape[1]);
-    assert_eq!(k, k2, "inner dims disagree: {:?} · {b_shape:?}", a.shape());
+/// The one serial / row-split / column-split decision behind every 2-D
+/// product: `a · src`, where `a` is `a_shape = [m, k]` in either layout
+/// and `src` is `b_shape = [k, n]`. The decision depends only on the
+/// shapes, so a transposed operand read in place takes the same path as
+/// its materialised copy.
+fn gemm_in(
+    pool: &pool::ThreadPool,
+    a: Lhs<'_>,
+    a_shape: [usize; 2],
+    b_shape: [usize; 2],
+    src: Panels<'_>,
+) -> Tensor {
+    let ([m, k], [k2, n]) = (a_shape, b_shape);
+    assert_eq!(k, k2, "inner dims disagree: {a_shape:?} · {b_shape:?}");
 
     let mut out = vec![0.0f32; m * n];
     GEMM_OUT_BYTES.add((m * n * 4) as u64);
@@ -415,7 +561,7 @@ fn gemm_in(pool: &pool::ThreadPool, a: &Tensor, b_shape: &[usize], src: Panels<'
         && (short || wide)
         && flops >= pool::GEMM_GRAIN.saturating_mul(threads)
     {
-        matmul_cols(pool, a.data(), src, &mut out, m, k, n);
+        matmul_cols(pool, a, src, &mut out, m, k, n);
         return Tensor::from_vec(out, &[m, n]);
     }
     // Row blocks start at multiples of MR, so the rows that take the
@@ -430,18 +576,16 @@ fn gemm_in(pool: &pool::ThreadPool, a: &Tensor, b_shape: &[usize], src: Panels<'
         && flops >= pool::GEMM_SERIAL_CUTOFF
         && flops >= pool::GEMM_GRAIN.saturating_mul(threads);
     if !parallel {
-        gemm_blocked_view(a.data(), src, &mut out, m, k, n);
+        gemm_blocked_view(a, src, &mut out, m, k, n);
         return Tensor::from_vec(out, &[m, n]);
     }
 
-    let a_data = a.data();
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .chunks_mut(rows_per * n)
         .enumerate()
         .map(|(chunk_idx, out_chunk)| {
-            let row0 = chunk_idx * rows_per;
             let rows = out_chunk.len() / n;
-            let a_block = &a_data[row0 * k..(row0 + rows) * k];
+            let a_block = a.skip_rows(chunk_idx * rows_per);
             Box::new(move || {
                 gemm_blocked_view(a_block, src, out_chunk, rows, k, n);
             }) as Box<dyn FnOnce() + Send + '_>
@@ -464,7 +608,7 @@ const DENSE_BLOCK: usize = 1 << 16;
 /// copies their rows out.
 fn matmul_cols(
     pool: &pool::ThreadPool,
-    a: &[f32],
+    a: Lhs<'_>,
     src: Panels<'_>,
     out: &mut [f32],
     m: usize,
@@ -509,15 +653,18 @@ fn matmul_cols(
     pool.run(tasks);
 }
 
-/// Rows of `h` per pool task in [`propagate`]. Fixed, so the partition
-/// does not depend on the pool size (every output element is computed
-/// whole by one task either way).
+/// Rows of `h` per pool task in [`Adjacency::propagate`]. Fixed, so the
+/// partition does not depend on the pool size (every output element is
+/// computed whole by one task either way).
 const PROPAGATE_ROWS: usize = 64;
 
-/// Applies one adjacency to a batch of node-feature matrices in their own
-/// layout: `out[r, i, :] = Σ_j adj[i, j] · h[r, j, :]` for `adj: [M, K]`
-/// and `h: [R, K, d]` → `[R, M, d]`. This is the graph-propagation step
-/// `N·H` of a GCN layer, run over `adj`'s nonzeros only.
+/// An adjacency `adj: [M, K]` prepared for propagation: applied to a batch
+/// of node-feature matrices in their own layout,
+/// `out[r, i, :] = Σ_j adj[i, j] · h[r, j, :]` for `h: [R, K, d]` →
+/// `[R, M, d]` ([`Adjacency::propagate`]). This is the graph-propagation
+/// step `N·H` of a GCN layer, run over `adj`'s nonzeros only: their
+/// compressed rows are built once here, and those of `adjᵀ` on the first
+/// [`Adjacency::propagate_t`].
 ///
 /// Each output element is one chain from +0.0 over `j` ascending, with a
 /// separate multiply and add, and zero coefficients skipped. While `h` is
@@ -527,80 +674,138 @@ const PROPAGATE_ROWS: usize = 64;
 /// `[K, R·d]`. Non-finite `h` is the exception: the GEMM's 4-row
 /// micro-kernel multiplies a zero coefficient by ±inf or NaN into NaN,
 /// where this skips the term.
-pub fn propagate(adj: &Tensor, h: &Tensor) -> Tensor {
-    assert_eq!(
-        adj.rank(),
-        2,
-        "propagate adj must be 2-D, got {:?}",
-        adj.shape()
-    );
-    assert_eq!(h.rank(), 3, "propagate h must be 3-D, got {:?}", h.shape());
-    let (m, k) = (adj.shape()[0], adj.shape()[1]);
-    let (r, k2, d) = (h.shape()[0], h.shape()[1], h.shape()[2]);
-    assert_eq!(
-        k,
-        k2,
-        "propagate dims disagree: {:?} · {:?}",
-        adj.shape(),
-        h.shape()
-    );
+#[derive(Debug)]
+pub struct Adjacency {
+    dense: Tensor,
+    rows: SparseRows,
+    rows_t: std::sync::OnceLock<SparseRows>,
+}
 
-    // `adj` in compressed-row form: row i's nonzeros `(j, a_ij)`, j
-    // ascending, end at `row_ends[i]`.
-    let mut nonzeros: Vec<(usize, f32)> = Vec::with_capacity(m * k);
-    let row_ends: Vec<usize> = adj
-        .data()
-        .chunks_exact(k.max(1))
-        .take(m)
-        .map(|row| {
-            let nz = row.iter().enumerate().filter(|&(_, &a)| a != 0.0);
-            nonzeros.extend(nz.map(|(j, &a)| (j, a)));
-            nonzeros.len()
-        })
-        .collect();
-    let h_data = h.data();
-    let run_rows = |r0: usize, out_rows: &mut [f32]| {
-        for (dr, out_r) in out_rows.chunks_exact_mut(m * d).enumerate() {
-            let h_r = &h_data[(r0 + dr) * k * d..(r0 + dr + 1) * k * d];
-            let mut start = 0;
-            for (out_i, &end) in out_r.chunks_exact_mut(d).zip(&row_ends) {
-                let row = &nonzeros[start..end];
-                start = end;
-                // Eight columns at a time, each chain held in a register.
-                let mut blocks = out_i.chunks_exact_mut(8);
-                for (b, out_b) in (&mut blocks).enumerate() {
-                    let mut acc = [0.0f32; 8];
-                    for &(j, a) in row {
-                        let x = &h_r[j * d + b * 8..][..8];
-                        for (s, &x) in acc.iter_mut().zip(x) {
-                            *s += a * x;
+impl Adjacency {
+    /// Prepares `adj: [M, K]`.
+    pub fn new(adj: Tensor) -> Adjacency {
+        let [m, k] = adj_dims(&adj);
+        Adjacency {
+            rows: SparseRows::new(adj.data(), m, k, k, 1),
+            rows_t: std::sync::OnceLock::new(),
+            dense: adj,
+        }
+    }
+
+    /// The adjacency itself.
+    pub fn dense(&self) -> &Tensor {
+        &self.dense
+    }
+
+    /// This adjacency applied to `h: [R, K, d]` → `[R, M, d]`.
+    pub fn propagate(&self, h: &Tensor) -> Tensor {
+        self.rows.apply(h)
+    }
+
+    /// This adjacency's transpose applied to `g: [R, M, d]` → `[R, K, d]`
+    /// — the features' gradient. Row `j` of `adjᵀ` is read from column `j`
+    /// of `adj`, `i` ascending, so the bits are those of preparing the
+    /// dense transpose.
+    pub fn propagate_t(&self, g: &Tensor) -> Tensor {
+        let [m, k] = adj_dims(&self.dense);
+        self.rows_t
+            .get_or_init(|| SparseRows::new(self.dense.data(), k, m, 1, k))
+            .apply(g)
+    }
+}
+
+fn adj_dims(adj: &Tensor) -> [usize; 2] {
+    match *adj.shape() {
+        [m, k] => [m, k],
+        _ => panic!("propagate adj must be 2-D, got {:?}", adj.shape()),
+    }
+}
+
+/// An `[M, K]` matrix in compressed-row form: row `i`'s nonzeros
+/// `(j, a_ij)`, `j` ascending, end at `row_ends[i]`.
+#[derive(Debug)]
+struct SparseRows {
+    k: usize,
+    nonzeros: Vec<(usize, f32)>,
+    row_ends: Vec<usize>,
+}
+
+impl SparseRows {
+    /// Compresses the `[m, k]` matrix whose element `(i, j)` is
+    /// `src[i·row + j·col]`.
+    fn new(src: &[f32], m: usize, k: usize, row: usize, col: usize) -> SparseRows {
+        let mut nonzeros = Vec::new();
+        let row_ends = (0..m)
+            .map(|i| {
+                let nz = (0..k).map(|j| (j, src[i * row + j * col]));
+                nonzeros.extend(nz.filter(|&(_, a)| a != 0.0));
+                nonzeros.len()
+            })
+            .collect();
+        SparseRows {
+            k,
+            nonzeros,
+            row_ends,
+        }
+    }
+
+    /// `out[r, i, :] = Σ_j a[i, j] · h[r, j, :]` (see [`Adjacency`]).
+    fn apply(&self, h: &Tensor) -> Tensor {
+        assert_eq!(h.rank(), 3, "propagate h must be 3-D, got {:?}", h.shape());
+        let (m, k) = (self.row_ends.len(), self.k);
+        let (r, k2, d) = (h.shape()[0], h.shape()[1], h.shape()[2]);
+        assert_eq!(
+            k,
+            k2,
+            "propagate dims disagree: [{m}, {k}] · {:?}",
+            h.shape()
+        );
+        let (nonzeros, row_ends) = (&self.nonzeros, &self.row_ends);
+        let h_data = h.data();
+        let run_rows = |r0: usize, out_rows: &mut [f32]| {
+            for (dr, out_r) in out_rows.chunks_exact_mut(m * d).enumerate() {
+                let h_r = &h_data[(r0 + dr) * k * d..(r0 + dr + 1) * k * d];
+                let mut start = 0;
+                for (out_i, &end) in out_r.chunks_exact_mut(d).zip(row_ends) {
+                    let row = &nonzeros[start..end];
+                    start = end;
+                    // Eight columns at a time, each chain held in a register.
+                    let mut blocks = out_i.chunks_exact_mut(8);
+                    for (b, out_b) in (&mut blocks).enumerate() {
+                        let mut acc = [0.0f32; 8];
+                        for &(j, a) in row {
+                            let x = &h_r[j * d + b * 8..][..8];
+                            for (s, &x) in acc.iter_mut().zip(x) {
+                                *s += a * x;
+                            }
                         }
+                        out_b.copy_from_slice(&acc);
                     }
-                    out_b.copy_from_slice(&acc);
-                }
-                let c0 = d - d % 8;
-                for (c, o) in blocks.into_remainder().iter_mut().enumerate() {
-                    for &(j, a) in row {
-                        *o += a * h_r[j * d + c0 + c];
+                    let c0 = d - d % 8;
+                    for (c, o) in blocks.into_remainder().iter_mut().enumerate() {
+                        for &(j, a) in row {
+                            *o += a * h_r[j * d + c0 + c];
+                        }
                     }
                 }
             }
-        }
-    };
+        };
 
-    let mut out = vec![0.0f32; r * m * d];
-    let chunk = PROPAGATE_ROWS * m * d;
-    if r > PROPAGATE_ROWS && pool::should_parallelize(r * nonzeros.len() * d, pool::GEMM_GRAIN) {
-        pool::parallel_chunks_mut(&mut out, chunk, |c, rows| {
-            run_rows(c * PROPAGATE_ROWS, rows)
-        });
-    } else if !out.is_empty() {
-        run_rows(0, &mut out);
+        let mut out = vec![0.0f32; r * m * d];
+        let chunk = PROPAGATE_ROWS * m * d;
+        if r > PROPAGATE_ROWS && pool::should_parallelize(r * nonzeros.len() * d, pool::GEMM_GRAIN)
+        {
+            pool::parallel_chunks_mut(&mut out, chunk, |c, rows| {
+                run_rows(c * PROPAGATE_ROWS, rows)
+            });
+        } else if !out.is_empty() {
+            run_rows(0, &mut out);
+        }
+        Tensor::from_vec(out, &[r, m, d])
     }
-    Tensor::from_vec(out, &[r, m, d])
 }
 
-/// Gradient of [`propagate`] with respect to `adj`, given the output
+/// Gradient of [`Adjacency::propagate`] with respect to `adj`, given the output
 /// gradient `g: [R, M, d]` and the features `h: [R, K, d]` → `[M, K]`:
 /// `Σ_{r,c} g[r, i, c] · h[r, j, c]`. It is the one GEMM of `g` laid out as
 /// `[M, R·d]` with `h` as `[R·d, K]`, so it has the GEMM's bits (KC-deep
@@ -663,16 +868,51 @@ pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
 /// Batched matmul: `a[B×m×k] · b[B×k×n] → [B×m×n]`, batch blocks dealt to
 /// the pool.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 3, "bmm lhs must be 3-D, got {:?}", a.shape());
-    assert_eq!(b.rank(), 3, "bmm rhs must be 3-D, got {:?}", b.shape());
-    let (ba, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-    let (bb, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    bmm_in(pool::global(), a, b)
+}
+
+/// [`bmm`] on an explicit pool.
+pub fn bmm_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_with(pool, a, false, b, false)
+}
+
+/// `a[B×m×k] · b[B×n×k]ᵀ → [B×m×n]`, each `bᵀ` packed straight from `b`'s
+/// rows. Bitwise equal to `bmm(a, &b.transpose_last2())`.
+pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_nt_in(pool::global(), a, b)
+}
+
+/// [`bmm_nt`] on an explicit pool.
+pub fn bmm_nt_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_with(pool, a, false, b, true)
+}
+
+/// `a[B×k×m]ᵀ · b[B×k×n] → [B×m×n]`, each `aᵀ` read in place from `a`'s
+/// columns. Bitwise equal to `bmm(&a.transpose_last2(), b)`.
+pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_tn_in(pool::global(), a, b)
+}
+
+/// [`bmm_tn`] on an explicit pool.
+pub fn bmm_tn_in(pool: &pool::ThreadPool, a: &Tensor, b: &Tensor) -> Tensor {
+    bmm_with(pool, a, true, b, false)
+}
+
+/// The batched product behind [`bmm`], [`bmm_nt`] and [`bmm_tn`]:
+/// `op(a) · op(b)` per batch, `op` the transpose of the last two axes
+/// where `a_t` / `b_t` is set, read in place.
+fn bmm_with(pool: &pool::ThreadPool, a: &Tensor, a_t: bool, b: &Tensor, b_t: bool) -> Tensor {
+    let dims3 = |t: &Tensor, side: &str, trans: bool| match *t.shape() {
+        [bs, r, c] if trans => [bs, c, r],
+        [bs, r, c] => [bs, r, c],
+        _ => panic!("bmm {side} must be 3-D, got {:?}", t.shape()),
+    };
+    let ([ba, m, k], [bb, k2, n]) = (dims3(a, "lhs", a_t), dims3(b, "rhs", b_t));
     assert_eq!(ba, bb, "bmm batch dims disagree");
     assert_eq!(k, k2, "bmm inner dims disagree");
 
     let mut out = vec![0.0f32; ba * m * n];
     BMM_OUT_BYTES.add((ba * m * n * 4) as u64);
-    let pool = pool::global();
     let threads = pool.threads();
     let flops = ba * m * n * k;
     let _timing = BMM_TIMER.start_with(2 * flops as u64);
@@ -681,14 +921,21 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     let run_batches = |b0: usize, out_chunk: &mut [f32]| {
         for (j, o) in out_chunk.chunks_mut(m * n).enumerate() {
             let bi = b0 + j;
-            gemm_blocked(
-                &a_data[bi * m * k..(bi + 1) * m * k],
-                &b_data[bi * k * n..(bi + 1) * k * n],
-                o,
-                m,
-                k,
-                n,
+            let (a_bi, b_bi) = (
+                &a_data[bi * m * k..][..m * k],
+                &b_data[bi * k * n..][..k * n],
             );
+            let lhs = if a_t {
+                Lhs::cols(a_bi, m)
+            } else {
+                Lhs::rows(a_bi, k)
+            };
+            let rhs = if b_t {
+                Panels::pack_t(b_bi, k)
+            } else {
+                Panels::pack(b_bi, n)
+            };
+            gemm_blocked_view(lhs, rhs, o, m, k, n);
         }
     };
     let parallel = threads > 1 && ba > 1 && flops >= pool::GEMM_GRAIN.saturating_mul(threads);
@@ -891,7 +1138,7 @@ mod tests {
                         let gated_packed = matmul_packed_in(p, &a, &packed);
                         let forced = |src| {
                             let mut out = vec![0.0f32; m * n];
-                            matmul_cols(p, a.data(), src, &mut out, m, k, n);
+                            matmul_cols(p, Lhs::rows(a.data(), k), src, &mut out, m, k, n);
                             out
                         };
                         let forced_packed = forced(Panels::Borrow {

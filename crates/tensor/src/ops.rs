@@ -127,6 +127,45 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     zip_map(a, b, |x, y| x * y)
 }
 
+/// `mul(a, b).reduce_to(dims)` without building the full-size product: one
+/// broadcast walk multiplies each pair and adds it into the reduced
+/// output. Each output element starts at +0.0 and adds its products in
+/// ascending flat index of the product, as [`Tensor::reduce_to`] does, so
+/// the bits equal the two-step form's. This is the gradient of a
+/// broadcasting `mul` with respect to its smaller operand.
+///
+/// Panics when the shapes are not broadcast-compatible or `dims` does not
+/// broadcast to the product's shape.
+pub fn mul_reduce_to(a: &Tensor, b: &Tensor, dims: &[usize]) -> Tensor {
+    let out_dims = broadcast_shapes(a.shape(), b.shape()).unwrap_or_else(|| {
+        panic!(
+            "incompatible shapes for mul_reduce_to: {:?} vs {:?}",
+            a.shape(),
+            b.shape()
+        )
+    });
+    if out_dims == dims {
+        return mul(a, b);
+    }
+    let (xs, ys) = (a.data(), b.data());
+    let mut acc = vec![0.0f32; num_elements(dims)];
+    broadcast_walk(
+        &out_dims,
+        [a.shape(), b.shape(), dims],
+        |_, n, [(ia, sa), (ib, sb), (io, so)]| {
+            let prod = |t: usize| xs[ia + t * sa] * ys[ib + t * sb];
+            if so == 0 {
+                acc[io] = (0..n).fold(acc[io], |s, t| s + prod(t));
+            } else {
+                for (t, slot) in acc[io..io + n].iter_mut().enumerate() {
+                    *slot += prod(t);
+                }
+            }
+        },
+    );
+    Tensor::from_vec(acc, dims)
+}
+
 /// Element-wise `a / b` with broadcasting.
 pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
     if a.shape() == b.shape() {

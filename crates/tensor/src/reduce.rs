@@ -109,26 +109,44 @@ pub fn mean_lastdim(t: &Tensor) -> Tensor {
 
 /// Row-wise numerically stable softmax along the last axis.
 pub fn softmax_lastdim(t: &Tensor) -> Tensor {
-    let (_, n) = rows_of(t);
-    let _timing = SOFTMAX_TIMER.start_with(t.len() as u64);
+    softmax_rows(t, |_| true)
+}
+
+/// [`softmax_lastdim`] of the last-axis rows `r` where `keep[r]` holds;
+/// every other row is zero and is never read. A kept row's bits equal
+/// that row of [`softmax_lastdim`].
+pub fn softmax_lastdim_where(t: &Tensor, keep: &[bool]) -> Tensor {
+    assert_eq!(keep.len(), rows_of(t).0, "one keep flag per row");
+    softmax_rows(t, |r| keep[r])
+}
+
+fn softmax_rows(t: &Tensor, keep: impl Fn(usize) -> bool + Sync) -> Tensor {
+    let (rows, n) = rows_of(t);
+    let work = (0..rows).filter(|&r| keep(r)).count() * n;
+    let _timing = SOFTMAX_TIMER.start_with(work as u64);
     let data = t.data();
     let mut out = vec![0.0f32; t.len()];
-    for_row_blocks(&mut out, n, t.len(), |r0, chunk| {
+    for_row_blocks(&mut out, n, work, |r0, chunk| {
         for (i, dst) in chunk.chunks_mut(n).enumerate() {
             let r = r0 + i;
-            let row = &data[r * n..(r + 1) * n];
-            // Lane-structured max/sum and SIMD normalisation; the exp fill
-            // itself stays scalar (`exp` has no vector counterpart with
-            // identical rounding).
-            let m = simd::row_max(row);
-            for (d, &v) in dst.iter_mut().zip(row) {
-                *d = (v - m).exp();
+            if keep(r) {
+                softmax_row(&data[r * n..(r + 1) * n], dst);
             }
-            let inv = 1.0 / simd::row_sum(dst);
-            simd::scale_in_place(dst, inv);
         }
     });
     Tensor::from_vec(out, t.shape())
+}
+
+/// One row of [`softmax_lastdim`]: lane-structured max/sum and SIMD
+/// normalisation; the exp fill itself stays scalar (`exp` has no vector
+/// counterpart with identical rounding).
+fn softmax_row(row: &[f32], dst: &mut [f32]) {
+    let m = simd::row_max(row);
+    for (d, &v) in dst.iter_mut().zip(row) {
+        *d = (v - m).exp();
+    }
+    let inv = 1.0 / simd::row_sum(dst);
+    simd::scale_in_place(dst, inv);
 }
 
 /// Row-wise log-softmax along the last axis (stable: `x - m - ln Σ e^{x-m}`).
@@ -140,8 +158,7 @@ pub fn log_softmax_lastdim(t: &Tensor) -> Tensor {
         for (i, dst) in chunk.chunks_mut(n).enumerate() {
             let r = r0 + i;
             let row = &data[r * n..(r + 1) * n];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln() + m;
+            let lse = logsumexp_row(row);
             for (d, &v) in dst.iter_mut().zip(row) {
                 *d = v - lse;
             }
@@ -155,13 +172,38 @@ pub fn logsumexp_lastdim(t: &Tensor) -> Tensor {
     let (rows, n) = rows_of(t);
     let mut out = vec![0.0f32; rows];
     for (r, slot) in out.iter_mut().enumerate() {
-        let row = &t.data()[r * n..(r + 1) * n];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        *slot = row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln() + m;
+        *slot = logsumexp_row(&t.data()[r * n..(r + 1) * n]);
     }
     let mut shape = t.shape().to_vec();
     shape.pop();
     Tensor::from_vec(out, &shape)
+}
+
+/// The log-sum-exp of the last-axis rows `r` where `keep[r]` holds, 0 for
+/// every other row, which is never read. `row[j] - lse[r]` is bitwise
+/// element `(r, j)` of [`log_softmax_lastdim`].
+pub fn logsumexp_lastdim_where(t: &Tensor, keep: &[bool]) -> Vec<f32> {
+    let (rows, n) = rows_of(t);
+    assert_eq!(keep.len(), rows, "one keep flag per row");
+    let work = keep.iter().filter(|&&k| k).count() * n;
+    let data = t.data();
+    let mut out = vec![0.0f32; rows];
+    for_row_blocks(&mut out, 1, work, |r0, slots| {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let r = r0 + i;
+            if keep[r] {
+                *slot = logsumexp_row(&data[r * n..(r + 1) * n]);
+            }
+        }
+    });
+    out
+}
+
+/// `m + ln Σ e^{x-m}` of one row, `m` its maximum: the shift
+/// [`log_softmax_lastdim`] subtracts.
+fn logsumexp_row(row: &[f32]) -> f32 {
+    let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln() + m
 }
 
 /// Index of the maximum *finite* value in each last-axis row; NaN/±∞
@@ -230,7 +272,7 @@ pub fn cosine_similarity_rows(x: &Tensor, c: &Tensor) -> Tensor {
     assert_eq!(x.rank(), 2);
     assert_eq!(c.rank(), 2);
     assert_eq!(x.shape()[1], c.shape()[1], "feature dims disagree");
-    let dots = crate::matmul::matmul(x, &c.t());
+    let dots = crate::matmul::matmul_nt(x, c);
     let nx = norm2_lastdim(x);
     let nc = norm2_lastdim(c);
     let (m, k) = (x.shape()[0], c.shape()[0]);

@@ -86,8 +86,8 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
 /// index of the operand element under the run's first output element, and 1,
 /// or 0 when that operand is broadcast along the innermost axis.
 ///
-/// The single broadcast traversal behind `zip_map`, `broadcast_to` and
-/// `reduce_to`: operand strides are computed once per call, never per
+/// The single broadcast traversal behind `zip_map`, `broadcast_to`,
+/// `reduce_to` and `mul_reduce_to`: operand strides are computed once per call, never per
 /// element. A zero-size output visits nothing; a rank-0 output is one run of
 /// length 1. Panics when an operand does not broadcast to `out`.
 pub(crate) fn broadcast_walk<const N: usize>(

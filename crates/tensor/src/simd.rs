@@ -62,6 +62,9 @@ pub const MR: usize = 4;
 /// Output columns per GEMM register tile — one packed-B block, i.e. two
 /// f32x8 registers at `avx2` or one f32x16 at `avx512`.
 pub const NR: usize = 16;
+/// Depth of one packed GEMM panel (rows of `b`), shared with the packing
+/// loops in [`crate::matmul`]: the micro-kernel never sees more.
+pub const KC: usize = 256;
 /// NR blocks a remainder row of the GEMM micro-kernel accumulates per
 /// pass, each on its own chain.
 const GROUP: usize = 4;
@@ -647,8 +650,13 @@ dispatch8!(adam_body =>
 pub struct PanelGeom {
     /// Rows of `a` / `out`.
     pub m: usize,
-    /// Full depth of `a` (row stride).
-    pub k: usize,
+    /// Stride of `a`: between its rows, or between its depths when
+    /// `a_t` is set.
+    pub lda: usize,
+    /// `a` is read transposed: element `(i, p)` is `a[p·lda + i]`, so a
+    /// four-row tile is four adjacent floats at each depth. Otherwise it
+    /// is `a[i·lda + p]`.
+    pub a_t: bool,
     /// Columns of `out` (row stride).
     pub n: usize,
     /// First depth index covered by this panel.
@@ -845,9 +853,11 @@ mod x86_gemm {
 /// path with a per-element zero skip, [`GROUP`] full blocks per pass.
 /// Every block, the zero-padded partial one included, runs the level's
 /// [`ColBlock`]; [`flush`] writes back only a partial block's real
-/// columns.
+/// columns. `TA` selects how `a` is read (see [`PanelGeom::a_t`]); only
+/// the loads differ, so both layouts give the same bits for the same
+/// values.
 #[inline(always)]
-fn gemm_panel_body<C: ColBlock>(
+fn gemm_panel_body<C: ColBlock, const TA: bool>(
     a: &[f32],
     row_zero: &[bool],
     panel: &[f32],
@@ -856,15 +866,14 @@ fn gemm_panel_body<C: ColBlock>(
 ) {
     let PanelGeom {
         m,
-        k,
+        lda,
         n,
         kk,
         kc,
         jj,
         nc,
+        ..
     } = g;
-    // (first output column, real width) of each packed block.
-    let blocks = (0..nc).step_by(NR).map(|c| (c, NR.min(nc - c)));
     let mut i = 0;
     // Micro-kernel: an MR×NR accumulator tile held in registers across the
     // whole depth, flushed to `out` once per panel.
@@ -873,69 +882,110 @@ fn gemm_panel_body<C: ColBlock>(
             i += MR;
             continue;
         }
-        let a0 = &a[i * k + kk..i * k + kk + kc];
-        let a1 = &a[(i + 1) * k + kk..(i + 1) * k + kk + kc];
-        let a2 = &a[(i + 2) * k + kk..(i + 2) * k + kk + kc];
-        let a3 = &a[(i + 3) * k + kk..(i + 3) * k + kk + kc];
-        for (c, width) in blocks.clone() {
-            let blk = &panel[c * kc..(c + NR) * kc];
-            let mut acc = [C::zero(); MR];
-            for p in 0..kc {
-                let bv = C::load(&blk[p * NR..]);
-                let xs = [a0[p], a1[p], a2[p], a3[p]];
-                for (accr, x) in acc.iter_mut().zip(xs) {
-                    *accr = accr.add(C::splat(x).mul(bv));
-                }
+        let out = &mut out[i * n + jj..];
+        if TA {
+            // The tile's four values at each depth are adjacent in `a`;
+            // gather them once, and every column block reads them in order.
+            let mut tile = [[0.0f32; MR]; KC];
+            let tile = &mut tile[..kc];
+            for (xs, depth) in tile.iter_mut().zip(a[kk * lda + i..].chunks(lda)) {
+                xs.copy_from_slice(&depth[..MR]);
             }
-            for (r, accr) in acc.into_iter().enumerate() {
-                flush(accr, &mut out[(i + r) * n + jj + c..], width);
-            }
+            tile_blocks::<C>(|p| tile[p], panel, out, n, kc, nc);
+        } else {
+            let row = |r: usize| &a[(i + r) * lda + kk..(i + r) * lda + kk + kc];
+            let (a0, a1, a2, a3) = (row(0), row(1), row(2), row(3));
+            tile_blocks::<C>(|p| [a0[p], a1[p], a2[p], a3[p]], panel, out, n, kc, nc);
         }
         i += MR;
     }
-    // Remainder rows, one at a time with the per-element zero skip. Four
-    // NR blocks per pass: four independent accumulator chains share one
-    // splat of `a[i][p]`, so the row streams the panel instead of waiting
-    // on one dependent add chain. Each column is still one chain from +0.0
-    // over `p` ascending, so the grouping changes no bits.
-    let grouped = nc / (GROUP * NR) * (GROUP * NR);
     while i < m {
         if row_zero[i] {
             i += 1;
             continue;
         }
-        let a_row = &a[i * k + kk..i * k + kk + kc];
         let row_out = &mut out[i * n + jj..];
-        for c in (0..grouped).step_by(GROUP * NR) {
-            let blks: [&[f32]; GROUP] =
-                std::array::from_fn(|q| &panel[(c + q * NR) * kc..(c + (q + 1) * NR) * kc]);
-            let mut acc = [C::zero(); GROUP];
-            for (p, &x) in a_row.iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                let xv = C::splat(x);
-                for (accq, blk) in acc.iter_mut().zip(&blks) {
-                    *accq = accq.add(xv.mul(C::load(&blk[p * NR..])));
-                }
-            }
-            for (q, accq) in acc.into_iter().enumerate() {
-                accq.accum_into(&mut row_out[c + q * NR..]);
-            }
-        }
-        // Leftover blocks (and the zero-padded partial one), one at a time.
-        for (c, width) in blocks.clone().skip(grouped / NR) {
-            let blk = &panel[c * kc..(c + NR) * kc];
-            let mut acc = C::zero();
-            for (p, &x) in a_row.iter().enumerate() {
-                if x == 0.0 {
-                    continue;
-                }
-                acc = acc.add(C::splat(x).mul(C::load(&blk[p * NR..])));
-            }
-            flush(acc, &mut row_out[c..], width);
+        if TA {
+            let xs = a[kk * lda + i..].iter().step_by(lda).take(kc);
+            remainder_row::<C>(xs.copied(), panel, row_out, kc, nc);
+        } else {
+            let xs = a[i * lda + kk..i * lda + kk + kc].iter();
+            remainder_row::<C>(xs.copied(), panel, row_out, kc, nc);
         }
         i += 1;
+    }
+}
+
+/// One MR-row tile of [`gemm_panel_body`] over every packed block of the
+/// panel, given the tile's four values at each depth. `out` starts at the
+/// tile's first output element; rows are `n` apart.
+#[inline(always)]
+fn tile_blocks<C: ColBlock>(
+    tile: impl Fn(usize) -> [f32; MR],
+    panel: &[f32],
+    out: &mut [f32],
+    n: usize,
+    kc: usize,
+    nc: usize,
+) {
+    for c in (0..nc).step_by(NR) {
+        let blk = &panel[c * kc..(c + NR) * kc];
+        let mut acc = [C::zero(); MR];
+        for p in 0..kc {
+            let bv = C::load(&blk[p * NR..]);
+            for (accr, x) in acc.iter_mut().zip(tile(p)) {
+                *accr = accr.add(C::splat(x).mul(bv));
+            }
+        }
+        for (r, accr) in acc.into_iter().enumerate() {
+            flush(accr, &mut out[r * n + c..], NR.min(nc - c));
+        }
+    }
+}
+
+/// One remainder row of [`gemm_panel_body`] over the panel, given the
+/// row's `kc` values in depth order. Four NR blocks per pass: four
+/// independent accumulator chains share one splat of `a[i][p]`, so the
+/// row streams the panel instead of waiting on one dependent add chain.
+/// Each column is still one chain from +0.0 over `p` ascending, with zero
+/// values skipped, so the grouping changes no bits.
+#[inline(always)]
+fn remainder_row<C: ColBlock>(
+    xs: impl Iterator<Item = f32> + Clone,
+    panel: &[f32],
+    row_out: &mut [f32],
+    kc: usize,
+    nc: usize,
+) {
+    let grouped = nc / (GROUP * NR) * (GROUP * NR);
+    for c in (0..grouped).step_by(GROUP * NR) {
+        let blks: [&[f32]; GROUP] =
+            std::array::from_fn(|q| &panel[(c + q * NR) * kc..(c + (q + 1) * NR) * kc]);
+        let mut acc = [C::zero(); GROUP];
+        for (p, x) in xs.clone().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let xv = C::splat(x);
+            for (accq, blk) in acc.iter_mut().zip(&blks) {
+                *accq = accq.add(xv.mul(C::load(&blk[p * NR..])));
+            }
+        }
+        for (q, accq) in acc.into_iter().enumerate() {
+            accq.accum_into(&mut row_out[c + q * NR..]);
+        }
+    }
+    // Leftover blocks (and the zero-padded partial one), one at a time.
+    for c in (grouped..nc).step_by(NR) {
+        let blk = &panel[c * kc..(c + NR) * kc];
+        let mut acc = C::zero();
+        for (p, x) in xs.clone().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            acc = acc.add(C::splat(x).mul(C::load(&blk[p * NR..])));
+        }
+        flush(acc, &mut row_out[c..], NR.min(nc - c));
     }
 }
 
@@ -961,8 +1011,18 @@ impl GemmKernel {
     }
 }
 
+/// [`gemm_panel_body`] at tile type `C`, for either layout of `a`.
+#[inline(always)]
+fn gemm_panel<C: ColBlock>(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
+    if g.a_t {
+        gemm_panel_body::<C, true>(a, rz, p, out, g);
+    } else {
+        gemm_panel_body::<C, false>(a, rz, p, out, g);
+    }
+}
+
 fn gemm_panel_scalar(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-    gemm_panel_body::<ScalarBlock>(a, rz, p, out, g);
+    gemm_panel::<ScalarBlock>(a, rz, p, out, g);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -971,12 +1031,12 @@ mod x86_kernels {
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn avx2(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-        gemm_panel_body::<x86_gemm::Avx2Block>(a, rz, p, out, g);
+        gemm_panel::<x86_gemm::Avx2Block>(a, rz, p, out, g);
     }
 
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn avx512(a: &[f32], rz: &[bool], p: &[f32], out: &mut [f32], g: PanelGeom) {
-        gemm_panel_body::<x86_gemm::Avx512Block>(a, rz, p, out, g);
+        gemm_panel::<x86_gemm::Avx512Block>(a, rz, p, out, g);
     }
 }
 

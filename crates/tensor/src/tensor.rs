@@ -196,18 +196,13 @@ impl Tensor {
             self.shape
         );
         let (m, n) = (self.shape[0], self.shape[1]);
-        let src = self.data();
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = src[i * n + j];
-            }
-        }
+        transpose_into(self.data(), m, n, &mut out);
         Tensor::owning(out, vec![n, m])
     }
 
     /// Transposes the last two axes of a tensor of rank ≥ 2
-    /// (`[..., m, n] → [..., n, m]`). Used for batched attention.
+    /// (`[..., m, n] → [..., n, m]`).
     pub fn transpose_last2(&self) -> Tensor {
         let r = self.rank();
         assert!(
@@ -217,15 +212,14 @@ impl Tensor {
         );
         let m = self.shape[r - 2];
         let n = self.shape[r - 1];
-        let batch = self.len() / (m * n);
         let mut out = vec![0.0f32; self.len()];
-        for b in 0..batch {
-            let src = &self.data()[b * m * n..(b + 1) * m * n];
-            let dst = &mut out[b * m * n..(b + 1) * m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    dst[j * m + i] = src[i * n + j];
-                }
+        if m * n > 0 {
+            for (src, dst) in self
+                .data()
+                .chunks_exact(m * n)
+                .zip(out.chunks_exact_mut(m * n))
+            {
+                transpose_into(src, m, n, dst);
             }
         }
         let mut shape = self.shape.clone();
@@ -368,6 +362,25 @@ impl Tensor {
     }
 }
 
+/// Side of the square tiles [`transpose_into`] copies: a 32×32 tile of
+/// either side is 4 KiB, so both stay in L1 while it is copied.
+const TILE: usize = 32;
+
+/// Writes the transpose of the row-major `[m, n]` matrix `src` into `dst`
+/// (`[n, m]`), tile by tile, so reads and writes both stay within a few
+/// cache lines per row instead of striding the whole output.
+fn transpose_into(src: &[f32], m: usize, n: usize, dst: &mut [f32]) {
+    for i0 in (0..m).step_by(TILE) {
+        for j0 in (0..n).step_by(TILE) {
+            for i in i0..(i0 + TILE).min(m) {
+                for j in j0..(j0 + TILE).min(n) {
+                    dst[j * m + i] = src[i * n + j];
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +413,30 @@ mod tests {
         assert_eq!(tt.shape(), &[2, 3, 2]);
         assert_eq!(tt.at3(0, 2, 1), t.at3(0, 1, 2));
         assert_eq!(tt.at3(1, 0, 1), t.at3(1, 1, 0));
+    }
+
+    #[test]
+    fn tiled_transposes_match_the_index_loop_across_tile_edges() {
+        for (m, n) in [
+            (1, 1),
+            (TILE, TILE),
+            (TILE + 1, 2 * TILE + 7),
+            (70, 3),
+            (0, 5),
+        ] {
+            let t = Tensor::from_vec((0..3 * m * n).map(|v| v as f32).collect(), &[3, m, n]);
+            let tt = t.transpose_last2();
+            assert_eq!(tt.shape(), &[3, n, m]);
+            for b in 0..3 {
+                for i in 0..m {
+                    for j in 0..n {
+                        assert_eq!(tt.at3(b, j, i), t.at3(b, i, j), "({m},{n}) at {b},{i},{j}");
+                    }
+                }
+            }
+            let first = Tensor::from_vec(t.data()[..m * n].to_vec(), &[m, n]);
+            assert_eq!(first.t().data(), &tt.data()[..m * n]);
+        }
     }
 
     #[test]

@@ -161,6 +161,38 @@ proptest! {
         walk_matches_reference(&a, &b)?;
     }
 
+    /// `mul_reduce_to(g, x, dims)` is bitwise `mul(g, x).reduce_to(dims)`
+    /// over the same shapes: `g` the full shape, `x` and the target each
+    /// an operand broadcast to it, with ±0 and some non-finite values.
+    #[test]
+    fn mul_reduce_to_matches_the_two_step_form(
+        out in prop::collection::vec(0usize..5, 0..5),
+        (drop_x, drop_t) in (0usize..5, 0usize..5),
+        (ones_x, ones_t) in (0u32..16, 0u32..16),
+        seed in 0u64..1000,
+    ) {
+        let mut g = values_of(&out, seed);
+        let mut x = values_of(&operand_dims(&out, drop_x, ones_x), seed + 1);
+        if seed % 3 == 0 && !g.is_empty() {
+            g.data_mut()[0] = f32::NAN;
+        }
+        if seed % 5 == 0 && !x.is_empty() {
+            let last = x.len() - 1;
+            x.data_mut()[last] = f32::INFINITY;
+        }
+        let dims = operand_dims(&out, drop_t, ones_t);
+        let want = ops::mul(&g, &x).reduce_to(&dims);
+        let got = ops::mul_reduce_to(&g, &x, &dims);
+        prop_assert_eq!(got.shape(), &dims[..]);
+        // A NaN compares as NaN: `-0 · inf` makes the default NaN, and
+        // when two different NaNs meet in one add the compiler may commute
+        // it, so which payload survives is fixed by neither form.
+        let canon = |t: &Tensor| -> Vec<u32> {
+            t.data().iter().map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits()).collect()
+        };
+        prop_assert_eq!(canon(&got), canon(&want), "{:?} x {:?} -> {:?}", out, x.shape(), dims);
+    }
+
     #[test]
     fn broadcast_is_commutative_for_add(dims in small_dims(), seed in 0u64..1000) {
         // a + row == row + a under row broadcasting.
