@@ -8,6 +8,8 @@
 use std::sync::Mutex;
 
 use ist_autograd::{fused, ops, profile, Tape};
+use ist_obs::export::sanitize;
+use ist_obs::schema::{sample, Json};
 use ist_tensor::rng::{randn, SeedRng, SeedRngExt};
 use ist_tensor::Tensor;
 
@@ -101,29 +103,6 @@ fn attribution_and_coverage() {
 
 static PROBE_HIST: ist_obs::Histogram = ist_obs::Histogram::with_unit("probe.hist", "us");
 
-/// Prometheus metric name of a probe name (the exposition's mapping).
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// The integer after `"key":` in a JSON line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// The `nth` whitespace-separated token after `name` on the summary line
 /// that starts with `name`.
 fn summary_token(summary: &str, name: &str, nth: usize) -> Option<String> {
@@ -131,12 +110,6 @@ fn summary_token(summary: &str, name: &str, nth: usize) -> Option<String> {
         .lines()
         .find(|l| l.split_whitespace().next() == Some(name))?;
     line.split_whitespace().nth(nth + 1).map(str::to_string)
-}
-
-fn prom_sample(prom: &str, metric: &str) -> Option<u64> {
-    prom.lines()
-        .find(|l| l.split(' ').next() == Some(metric))
-        .and_then(|l| l.rsplit(' ').next()?.parse().ok())
 }
 
 /// Every row of one snapshot shows up in all three sinks (JSON lines, the
@@ -176,36 +149,31 @@ fn every_sink_renders_every_snapshot_row() {
     }
     assert!(snap.histograms.iter().any(|h| h.name == "probe.hist"));
 
-    let json_line = |key: &str, name: &str| {
-        let head = format!("{{\"{key}\":\"{name}\",");
-        json.iter()
-            .find(|l| l.starts_with(&head))
-            .unwrap_or_else(|| panic!("no JSON line for {key} {name}:\n{}", json.join("\n")))
-            .clone()
+    // `field` of the JSON line whose `key` names `name`.
+    let json_field = |key: &str, name: &str, field: &str| {
+        let mut rows = json.iter().map(|l| Json::parse(l).unwrap());
+        rows.find(|row| row.text(key) == Ok(name))
+            .and_then(|row| row.uint(field).ok())
     };
     for t in &snap.timers {
         let name = &t.name;
-        assert_eq!(
-            json_u64(&json_line("span", name), "count"),
-            Some(t.count),
-            "{name}"
-        );
+        assert_eq!(json_field("span", name, "count"), Some(t.count), "{name}");
         assert_eq!(
             summary_token(&summary, name, 0),
             Some(t.count.to_string()),
             "{name} in summary:\n{summary}"
         );
-        let calls = format!("{}_calls_total", prom_name(name));
+        let calls = format!("{}_calls_total", sanitize(name));
         assert_eq!(
-            prom_sample(&prom, &calls),
-            Some(t.count),
+            sample(&prom, &calls),
+            Some(t.count as f64),
             "{calls} in:\n{prom}"
         );
     }
     for h in &snap.histograms {
         let name = &h.name;
         assert_eq!(
-            json_u64(&json_line("histogram", name), "count"),
+            json_field("histogram", name, "count"),
             Some(h.count()),
             "{name}"
         );
@@ -214,32 +182,28 @@ fn every_sink_renders_every_snapshot_row() {
             Some(h.count().to_string()),
             "{name} in summary:\n{summary}"
         );
-        let count = format!("{}_count", prom_name(name));
+        let count = format!("{}_count", sanitize(name));
         assert_eq!(
-            prom_sample(&prom, &count),
-            Some(h.count()),
+            sample(&prom, &count),
+            Some(h.count() as f64),
             "{count} in:\n{prom}"
         );
     }
     let counters = snap.counters.iter().map(|c| (c, true));
     for ((name, value), is_counter) in counters.chain(snap.gauges.iter().map(|g| (g, false))) {
-        assert_eq!(
-            json_u64(&json_line("counter", name), "value"),
-            Some(*value),
-            "{name}"
-        );
+        assert_eq!(json_field("counter", name, "value"), Some(*value), "{name}");
         assert_eq!(
             summary_token(&summary, name, 0),
             Some(value.to_string()),
             "{name} in summary:\n{summary}"
         );
-        let mut metric = prom_name(name);
+        let mut metric = sanitize(name);
         if is_counter && !metric.ends_with("_total") {
             metric.push_str("_total");
         }
         assert_eq!(
-            prom_sample(&prom, &metric),
-            Some(*value),
+            sample(&prom, &metric),
+            Some(*value as f64),
             "{metric} in:\n{prom}"
         );
     }

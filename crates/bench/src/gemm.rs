@@ -2,12 +2,13 @@
 //! `bench_gemm` binary, plus a parser for its `BENCH_gemm.json` artifact so
 //! `bench_diff` can compare a fresh run against the committed baseline.
 //!
-//! The JSON is hand-rolled and hand-parsed — the offline workspace carries
-//! no serde — so both directions live here, next to each other, and the
-//! round-trip is covered by tests.
+//! The JSON is hand-rolled here — the offline workspace carries no serde —
+//! and read back with `ist_obs::schema::Json`; the round-trip is covered
+//! by tests.
 
 use std::time::Instant;
 
+use ist_obs::schema::Json;
 use ist_tensor::matmul::{gemm_blocked, gemm_serial, matmul_in};
 use ist_tensor::pool::ThreadPool;
 use ist_tensor::rng::{uniform, SeedRng, SeedRngExt as _};
@@ -169,78 +170,26 @@ pub fn cpu_to_json() -> String {
     )
 }
 
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat).ok_or_else(|| format!("missing key {key}"))?;
-    let rest = &obj[at + pat.len()..];
-    let colon = rest.find(':').ok_or_else(|| format!("malformed {key}"))?;
-    let rest = rest[colon + 1..].trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| format!("{key} is not a string"))?;
-    let end = rest
-        .find('"')
-        .ok_or_else(|| format!("unterminated string for {key}"))?;
-    Ok(rest[..end].to_string())
-}
-
-fn num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat).ok_or_else(|| format!("missing key {key}"))?;
-    let rest = &obj[at + pat.len()..];
-    let colon = rest.find(':').ok_or_else(|| format!("malformed {key}"))?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|e| format!("{key}: {e} in {:?}", &rest[..end]))
-}
-
 /// Parses the `"results"` array out of a `BENCH_gemm.json` document.
 /// `warmup`/`iters` default to 0 for baselines written before those fields
 /// existed (comparisons then carry a measurement-regime caveat).
 pub fn parse_rows(json: &str) -> Result<Vec<BenchRow>, String> {
-    let start = json
-        .find("\"results\"")
-        .ok_or("no \"results\" key in baseline")?;
-    let open = json[start..].find('[').ok_or("no results array")? + start;
-    let mut depth = 0usize;
-    let mut end = None;
-    for (i, ch) in json[open..].char_indices() {
-        match ch {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let end = end.ok_or("unterminated results array")?;
-    let mut rows = Vec::new();
-    for chunk in json[open + 1..end].split('{').skip(1) {
-        let obj = chunk
-            .split('}')
-            .next()
-            .ok_or("unterminated result object")?;
-        rows.push(BenchRow {
-            kernel: str_field(obj, "kernel")?,
-            size: num_field(obj, "size")? as usize,
-            threads: num_field(obj, "threads")? as usize,
+    let doc = Json::parse(json)?;
+    let rows = doc.items("results")?.iter().map(|r| {
+        Ok(BenchRow {
+            kernel: r.text("kernel")?.to_string(),
+            size: r.uint("size")? as usize,
+            threads: r.uint("threads")? as usize,
             // Empty for baselines written before the SIMD dispatch layer;
             // `bench_diff` pairs those against fresh scalar rows.
-            dispatch: str_field(obj, "dispatch").unwrap_or_default(),
-            gflops: num_field(obj, "gflops")?,
-            ms_per_iter: num_field(obj, "ms_per_iter")?,
-            warmup: num_field(obj, "warmup").unwrap_or(0.0) as usize,
-            iters: num_field(obj, "iters").unwrap_or(0.0) as usize,
-        });
-    }
+            dispatch: r.text("dispatch").unwrap_or_default().to_string(),
+            gflops: r.num("gflops")?,
+            ms_per_iter: r.num("ms_per_iter")?,
+            warmup: r.uint("warmup").unwrap_or(0) as usize,
+            iters: r.uint("iters").unwrap_or(0) as usize,
+        })
+    });
+    let rows = rows.collect::<Result<Vec<_>, String>>()?;
     if rows.is_empty() {
         return Err("baseline contains no result rows".into());
     }

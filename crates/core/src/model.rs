@@ -11,7 +11,7 @@ use ist_nn::attention::{attention_mask, TransformerEncoder};
 use ist_nn::embedding::{Embedding, PositionalEmbedding};
 use ist_nn::linear::Linear;
 use ist_nn::{ctx::dropout, init, Ctx, Module};
-use ist_tensor::matmul::{matmul, Adjacency, PackedRhs};
+use ist_tensor::matmul::{matmul_packed, Adjacency, PackedRhs};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use ist_tensor::{reduce, Tensor};
 
@@ -385,10 +385,11 @@ impl Isrec {
     /// ([`TransformerEncoder::forward_last`]), and the intent pipeline —
     /// cosine sims, top-λ, lifting, GCN, decoder — sees only those `m`
     /// rows. A row's value does not depend on which other rows a stage
-    /// processes, and `gemm_blocked`'s single-row and 4-row paths agree
-    /// bitwise on finite inputs, so the result equals the newest rows of
-    /// the all-position forward bit for bit
-    /// (`infer_last_repr_matches_the_all_position_forward` below).
+    /// processes, and the GEMM micro-kernel's single-row and 4-row paths
+    /// (`ist_tensor::simd::gemm_kernel`) agree bitwise on finite inputs,
+    /// so the result equals the newest rows of the all-position forward
+    /// bit for bit (`infer_last_repr_matches_the_all_position_forward`
+    /// below).
     pub fn infer_last_repr(&self, histories: &[&[usize]]) -> Tensor {
         let m = histories.len();
         if m == 0 {
@@ -406,9 +407,9 @@ impl Isrec {
 
     /// The Eq.-12 output item table — item embeddings plus, when
     /// `tie_concept_output` is set, the summed concept embeddings —
-    /// **transposed** to `[d, num_items]` so offline evaluation can score
-    /// a stack of [`Isrec::infer_last_repr`] rows with one GEMM. Serving
-    /// uses [`Isrec::output_item_panels`] instead.
+    /// **transposed** to `[d, num_items]`. Scoring, offline and served,
+    /// uses [`Isrec::output_item_panels`]; this copy is the reference the
+    /// tests and the benchmark multiply against.
     pub fn output_item_table_t(&self) -> Tensor {
         self.output_item_table(&Ctx::inference()).value().t()
     }
@@ -496,11 +497,13 @@ impl SequentialRecommender for Isrec {
         candidates: &[&[usize]],
     ) -> Vec<Vec<f32>> {
         assert_eq!(histories.len(), candidates.len());
-        let table_t = self.output_item_table_t();
+        // The serving engine's catalog scoring: bitwise equal to `matmul`
+        // with the transposed table (the `PackedRhs` contract).
+        let catalog = self.output_item_panels();
         let mut out = Vec::with_capacity(histories.len());
         const CHUNK: usize = 128;
         for (hist_chunk, cand_chunk) in histories.chunks(CHUNK).zip(candidates.chunks(CHUNK)) {
-            let scores = matmul(&self.infer_last_repr(hist_chunk), &table_t);
+            let scores = matmul_packed(&self.infer_last_repr(hist_chunk), &catalog);
             for (bi, cands) in cand_chunk.iter().enumerate() {
                 out.push(cands.iter().map(|&c| scores.at2(bi, c)).collect());
             }

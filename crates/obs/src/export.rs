@@ -100,6 +100,35 @@ pub fn start_from_env() -> Option<Result<SocketAddr, String>> {
     }
 }
 
+/// One HTTP/1.1 `GET path` against `addr`: `(status, body)`. Connecting,
+/// writing and each read time out after 5 s.
+pub fn get(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
+    let timeout = Some(Duration::from_secs(5));
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    stream
+        .set_read_timeout(timeout)
+        .and_then(|()| stream.set_write_timeout(timeout))
+        .and_then(|()| {
+            write!(
+                stream,
+                "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+            )
+        })
+        .map_err(|e| format!("GET {path} from {addr}: {e}"))?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("read {path} from {addr}: {e}"))?;
+    let status = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("GET {path} from {addr}: no status line"))?;
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    Ok((status, body.to_string()))
+}
+
 fn accept_loop(listener: TcpListener) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
@@ -191,8 +220,9 @@ fn health_body() -> (u16, String) {
     }
 }
 
-/// `a.b.c` → `a_b_c`, any other non-`[A-Za-z0-9_:]` byte → `_`.
-fn sanitize(name: &str) -> String {
+/// The exposition name of a probe name: `a.b.c` → `a_b_c`, any other
+/// non-`[A-Za-z0-9_:]` byte → `_`.
+pub fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == ':' {

@@ -65,6 +65,7 @@ use std::time::Instant;
 pub mod env;
 pub mod export;
 pub mod reqctx;
+pub mod schema;
 pub mod trace;
 
 pub use trace::{trace_enabled, TraceScope};

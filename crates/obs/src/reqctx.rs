@@ -425,18 +425,11 @@ mod tests {
         let total = finish(&ctx, "ok", false);
 
         let text = String::from_utf8(lock_tolerant(&buf.0).clone()).unwrap();
-        let line = text.lines().next().expect("one access line");
-        assert!(
-            line.starts_with(&format!("{{\"req\":{}", ctx.id())),
-            "{line}"
-        );
-        assert!(line.contains("\"outcome\":\"ok\""));
-        assert!(line.contains("\"hist\":6"));
-        assert!(line.contains("\"cache_hit\":true"));
-        assert!(line.contains("\"batch\":4"));
-        for name in STAGE_NAMES {
-            assert!(line.contains(&format!("\"{name}_us\":")), "{line}");
-        }
+        let recs = crate::schema::access_log(&text).unwrap();
+        let r = &recs[0];
+        assert_eq!((recs.len(), r.req, r.outcome.as_str()), (1, ctx.id(), "ok"));
+        assert_eq!((r.cache_hit, r.batch), (true, 4));
+        assert!(text.contains("\"hist\":6"), "{text}");
         // Recorded stage micros cannot exceed the request's total.
         let ex = exemplars();
         assert_eq!(ex.len(), 1);

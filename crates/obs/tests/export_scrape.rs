@@ -3,11 +3,14 @@
 //! text exposition with monotone counters, and `/healthz` must answer.
 //! Serialized with a local lock (process-global obs state).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+use ist_obs::export::get;
+use ist_obs::schema::{exposition, sample};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -17,57 +20,6 @@ fn serial() -> MutexGuard<'static, ()> {
 
 static SCRAPE_EVENTS: ist_obs::Counter = ist_obs::Counter::new("export_stress.events");
 static SCRAPE_LAT: ist_obs::Histogram = ist_obs::Histogram::with_unit("export_stress.lat", "us");
-
-/// One HTTP GET against the endpoint; returns (status, body).
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect scrape endpoint");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Every line of a scrape must be a comment or `name[{labels}] value`.
-fn assert_exposition_grammar(body: &str) {
-    for line in body.lines().filter(|l| !l.trim().is_empty()) {
-        if line.starts_with('#') {
-            assert!(line.starts_with("# TYPE "), "unknown comment: {line}");
-            continue;
-        }
-        let (name, value) = line.rsplit_once(' ').expect("sample needs a space");
-        assert!(!name.is_empty(), "empty metric name: {line}");
-        let bare = name.split('{').next().unwrap();
-        assert!(
-            bare.chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "bad metric name {bare:?} in: {line}"
-        );
-        value
-            .parse::<f64>()
-            .unwrap_or_else(|e| panic!("bad value in {line:?}: {e}"));
-    }
-}
-
-/// Pulls one counter's value out of a scrape, if present.
-fn sample(body: &str, name: &str) -> Option<u64> {
-    body.lines()
-        .find(|l| l.split(' ').next() == Some(name))
-        .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-}
 
 #[test]
 fn concurrent_scrapes_race_recording_without_corruption() {
@@ -92,11 +44,11 @@ fn concurrent_scrapes_race_recording_without_corruption() {
         let scrapers: Vec<_> = (0..4)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut last = 0u64;
+                    let mut last = 0.0;
                     for _ in 0..25 {
-                        let (status, body) = get(addr, "/metrics");
+                        let (status, body) = get(addr, "/metrics").unwrap();
                         assert_eq!(status, 200);
-                        assert_exposition_grammar(&body);
+                        exposition(&body).unwrap();
                         if let Some(v) = sample(&body, "export_stress_events_total") {
                             assert!(v >= last, "counter went backwards: {v} < {last}");
                             last = v;
@@ -106,18 +58,18 @@ fn concurrent_scrapes_race_recording_without_corruption() {
                 })
             })
             .collect();
-        let finals: Vec<u64> = scrapers.into_iter().map(|s| s.join().unwrap()).collect();
+        let finals: Vec<f64> = scrapers.into_iter().map(|s| s.join().unwrap()).collect();
         stop.store(true, Ordering::Relaxed);
         assert!(
-            finals.iter().any(|&v| v > 0),
+            finals.iter().any(|&v| v > 0.0),
             "no scrape ever observed the stress counter"
         );
     });
 
     // Histogram family: cumulative buckets are monotone and agree with
     // _count.
-    let (_, body) = get(addr, "/metrics");
-    let buckets: Vec<u64> = body
+    let (_, body) = get(addr, "/metrics").unwrap();
+    let buckets: Vec<f64> = body
         .lines()
         .filter(|l| l.starts_with("export_stress_lat_bucket"))
         .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
@@ -142,21 +94,21 @@ fn healthz_and_unknown_routes_answer() {
     let _g = serial();
     let addr = ist_obs::export::start("127.0.0.1:0").expect("bind scrape endpoint");
 
-    let (status, body) = get(addr, "/healthz");
+    let (status, body) = get(addr, "/healthz").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("\"status\""), "no status field: {body}");
 
-    let (status, _) = get(addr, "/nope");
+    let (status, _) = get(addr, "/nope").unwrap();
     assert_eq!(status, 404);
 
     // An installed provider overrides the default and can flip the code.
     ist_obs::export::set_health_provider(Box::new(|| (503, "{\"status\":\"degraded\"}".into())));
-    let (status, body) = get(addr, "/healthz");
+    let (status, body) = get(addr, "/healthz").unwrap();
     assert_eq!(status, 503);
     assert!(body.contains("degraded"));
     ist_obs::export::clear_health_provider();
 
-    let (status, _) = get(addr, "/healthz");
+    let (status, _) = get(addr, "/healthz").unwrap();
     assert_eq!(status, 200);
 }
 
@@ -179,7 +131,7 @@ fn a_trickling_client_cannot_stall_a_concurrent_scrape() {
         // Let the endpoint pick up the trickler first.
         std::thread::sleep(Duration::from_millis(100));
         let t0 = Instant::now();
-        let (status, _) = get(addr, "/metrics");
+        let (status, _) = get(addr, "/metrics").unwrap();
         let waited = t0.elapsed();
         stop.store(true, Ordering::Relaxed);
         assert_eq!(status, 200);

@@ -71,29 +71,6 @@ fn snapshot_spec(dir: &Path, seed: u64) -> ModelSpec {
     }
 }
 
-/// Pulls `"key":<u64>` out of a flat JSON line.
-fn field_u64(line: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {line}"))
-        + pat.len()..];
-    rest.chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> &'a str {
-    let pat = format!("\"{key}\":\"");
-    let at = line
-        .find(&pat)
-        .unwrap_or_else(|| panic!("no {key} in {line}"))
-        + pat.len();
-    &line[at..at + line[at..].find('"').unwrap()]
-}
-
 #[test]
 fn access_log_has_one_consistent_line_per_request() {
     let _g = serial();
@@ -121,44 +98,19 @@ fn access_log_has_one_consistent_line_per_request() {
     drop(engine);
     reqctx::disable_access_log();
 
+    // Each line passes the access-log schema: every key present, unique
+    // trace ids, stage breakdown within the end-to-end latency.
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    assert_eq!(lines.len(), n + 1, "one line per finished request:\n{text}");
-
-    let mut ids = std::collections::BTreeSet::new();
-    for line in &lines {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not JSON: {line}"
-        );
-        assert!(
-            ids.insert(field_u64(line, "req")),
-            "duplicate trace id: {line}"
-        );
-        let total = field_u64(line, "total_us");
-        let stages: u64 = reqctx::STAGE_NAMES
-            .iter()
-            .map(|s| field_u64(line, &format!("{s}_us")))
-            .sum();
-        assert!(
-            stages <= total,
-            "stage breakdown exceeds the end-to-end latency: {line}"
-        );
-    }
-    let ok = lines
-        .iter()
-        .filter(|l| field_str(l, "outcome") == "ok")
-        .count();
-    let invalid = lines
-        .iter()
-        .filter(|l| field_str(l, "outcome") == "invalid")
-        .count();
-    assert_eq!((ok, invalid), (n, 1), "outcomes miscounted:\n{text}");
-    for line in lines.iter().filter(|l| field_str(l, "outcome") == "ok") {
-        assert!(
-            field_u64(line, "batch") >= 1,
-            "answered without a batch: {line}"
-        );
+    let recs = ist_obs::schema::access_log(&text).unwrap();
+    assert_eq!(recs.len(), n + 1, "one line per finished request:\n{text}");
+    let outcomes = |o: &str| recs.iter().filter(|r| r.outcome == o).count();
+    assert_eq!(
+        (outcomes("ok"), outcomes("invalid")),
+        (n, 1),
+        "outcomes miscounted:\n{text}"
+    );
+    for r in recs.iter().filter(|r| r.outcome == "ok") {
+        assert!(r.batch >= 1, "answered without a batch: {r:?}");
     }
 
     // The reservoir kept the slowest finished requests, slowest first.

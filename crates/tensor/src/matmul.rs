@@ -1,6 +1,6 @@
 //! Matrix multiplication: cache-blocked 2-D GEMM parallelised over the
 //! shared worker pool, a right-hand side packed once and multiplied many
-//! times ([`PackedRhs`]), matrix–vector products, batched 3-D `bmm`, and
+//! times ([`PackedRhs`]), batched 3-D `bmm`, and
 //! [`Adjacency`], which applies one sparse adjacency to a batch of
 //! node-feature matrices in their own layout.
 //!
@@ -52,13 +52,11 @@ use crate::Tensor;
 /// in the `ist-obs` summary (near-zero cost while `IST_METRICS` is unset).
 static GEMM_TIMER: ist_obs::Timer = ist_obs::Timer::with_unit("tensor.gemm", "flop");
 static BMM_TIMER: ist_obs::Timer = ist_obs::Timer::with_unit("tensor.bmm", "flop");
-static MATVEC_TIMER: ist_obs::Timer = ist_obs::Timer::with_unit("tensor.matvec", "flop");
 
 /// Output-buffer allocation volume per hot op (memory accounting: these
-/// three are the dominant transient allocators in training).
+/// two are the dominant transient allocators in training).
 static GEMM_OUT_BYTES: ist_obs::Counter = ist_obs::Counter::new("tensor.gemm.alloc_bytes");
 static BMM_OUT_BYTES: ist_obs::Counter = ist_obs::Counter::new("tensor.bmm.alloc_bytes");
-static MATVEC_OUT_BYTES: ist_obs::Counter = ist_obs::Counter::new("tensor.matvec.alloc_bytes");
 
 /// Packing-workspace telemetry: GEMM calls whose panel/row-zero scratch was
 /// served entirely from this thread's grow-only workspace (no allocation),
@@ -110,45 +108,6 @@ pub fn gemm_blocked(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     gemm_blocked_view(Lhs::rows(a, k), Panels::pack(b, n), out, m, k, n);
-}
-
-/// Cache-blocked GEMM over a *column block* of `b`:
-/// `out[m×ncols] += a[m×k] · b[:, col0 .. col0+ncols]`, where `b` is the
-/// full row-major `k×n_full` matrix. Nothing is copied out of `b` beyond
-/// the panel packing every GEMM already does.
-///
-/// Bitwise contract: for every output element, the k-accumulation order
-/// (KC panels ascending, depth ascending within a panel) and the zero-row
-/// skip depend only on `a` and `k` — never on which columns are being
-/// computed — so `out[i][j]` is bit-identical to column `col0 + j` of the
-/// full [`gemm_blocked`] product. The column split in [`matmul_in`] rests
-/// on this.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_cols(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n_full: usize,
-    col0: usize,
-    ncols: usize,
-) {
-    debug_assert_eq!(b.len(), k * n_full);
-    assert!(
-        col0 + ncols <= n_full,
-        "column block {col0}..{} exceeds table width {n_full}",
-        col0 + ncols
-    );
-    debug_assert_eq!(a.len(), m * k);
-    gemm_blocked_view(
-        Lhs::rows(a, k),
-        Panels::pack(b, n_full).at(col0),
-        out,
-        m,
-        k,
-        ncols,
-    );
 }
 
 /// A `[k, n]` right-hand side held in exactly the panel layout the GEMM
@@ -606,6 +565,12 @@ const DENSE_BLOCK: usize = 1 << 16;
 /// more rows a block is strided, so each task computes it in dense
 /// sub-blocks of whole NC panels, at most [`DENSE_BLOCK`] floats each, and
 /// copies their rows out.
+///
+/// Bitwise contract: every output element's k-accumulation order (KC
+/// panels ascending, depth ascending within a panel) and the zero-row
+/// skip depend only on `a` and `k`, never on which columns a task owns
+/// ([`Panels::at`] only moves the view), so each block equals the same
+/// columns of the serial [`gemm_blocked_view`] product bit for bit.
 fn matmul_cols(
     pool: &pool::ThreadPool,
     a: Lhs<'_>,
@@ -837,34 +802,6 @@ pub fn propagate_adj_grad(g: &Tensor, h: &Tensor) -> Tensor {
     matmul(&g_rows, &h.transpose_last2().reshape(&[r * d, k]))
 }
 
-/// `a[m×k] · x[k] → [m]`, row blocks dealt to the pool for large inputs.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(a.rank(), 2);
-    assert_eq!(x.rank(), 1);
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    assert_eq!(k, x.shape()[0]);
-    let mut out = vec![0.0f32; m];
-    MATVEC_OUT_BYTES.add((m * 4) as u64);
-    let _timing = MATVEC_TIMER.start_with(2 * (m * k) as u64);
-    let a_data = a.data();
-    let x_data = x.data();
-    let dot_rows = |row0: usize, out_chunk: &mut [f32]| {
-        for (i, slot) in out_chunk.iter_mut().enumerate() {
-            let row = &a_data[(row0 + i) * k..(row0 + i + 1) * k];
-            *slot = simd::dot(row, x_data);
-        }
-    };
-    if pool::should_parallelize(m * k, pool::GEMM_GRAIN) {
-        let rows_per = m.div_ceil(pool::global().threads()).max(1);
-        pool::parallel_chunks_mut(&mut out, rows_per, |chunk_idx, out_chunk| {
-            dot_rows(chunk_idx * rows_per, out_chunk);
-        });
-    } else {
-        dot_rows(0, &mut out);
-    }
-    Tensor::from_vec(out, &[m])
-}
-
 /// Batched matmul: `a[B×m×k] · b[B×k×n] → [B×m×n]`, batch blocks dealt to
 /// the pool.
 pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
@@ -1018,16 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = SeedRng::seed(5);
-        let a = uniform(&[4, 3], -1.0, 1.0, &mut rng);
-        let x = uniform(&[3], -1.0, 1.0, &mut rng);
-        let mv = matvec(&a, &x);
-        let mm = matmul(&a, &x.reshape(&[3, 1]));
-        assert_close(mv.data(), mm.data(), 1e-6);
-    }
-
-    #[test]
     fn bmm_matches_per_batch_matmul() {
         let mut rng = SeedRng::seed(9);
         let a = uniform(&[3, 2, 4], -1.0, 1.0, &mut rng);
@@ -1045,57 +972,6 @@ mod tests {
     #[should_panic(expected = "inner dims disagree")]
     fn dimension_mismatch_panics() {
         matmul(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[4, 2]));
-    }
-
-    /// Column-block GEMM must reproduce the full product's columns bit for
-    /// bit — `matmul_in`'s column split depends on it.
-    #[test]
-    fn gemm_cols_matches_full_gemm_bitwise() {
-        let mut rng = SeedRng::seed(17);
-        let (m, k, n) = (5, 48, 203); // n not a multiple of NC or NR
-        let a = uniform(&[m, k], -1.0, 1.0, &mut rng);
-        let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
-        let mut full = vec![0.0f32; m * n];
-        gemm_blocked(a.data(), b.data(), &mut full, m, k, n);
-
-        // Uneven split covering NC-boundary-crossing and 1-wide blocks.
-        for &(col0, ncols) in &[(0usize, 70usize), (70, 1), (71, 64), (135, 68)] {
-            let mut block = vec![0.0f32; m * ncols];
-            gemm_cols(a.data(), b.data(), &mut block, m, k, n, col0, ncols);
-            for i in 0..m {
-                for j in 0..ncols {
-                    assert_eq!(
-                        block[i * ncols + j].to_bits(),
-                        full[i * n + col0 + j].to_bits(),
-                        "col block ({col0},{ncols}) diverged at ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Zero-row skipping depends only on `a`, so it must behave identically
-    /// under column restriction (padded positions are common in serving).
-    #[test]
-    fn gemm_cols_bitwise_with_zero_rows() {
-        let mut rng = SeedRng::seed(19);
-        let (m, k, n) = (4, 32, 100);
-        let mut a = uniform(&[m, k], -1.0, 1.0, &mut rng).data().to_vec();
-        a[k..2 * k].fill(0.0); // one all-zero row
-        let b = uniform(&[k, n], -1.0, 1.0, &mut rng);
-        let mut full = vec![0.0f32; m * n];
-        gemm_blocked(&a, b.data(), &mut full, m, k, n);
-        let (col0, ncols) = (33, 45);
-        let mut block = vec![0.0f32; m * ncols];
-        gemm_cols(&a, b.data(), &mut block, m, k, n, col0, ncols);
-        for i in 0..m {
-            for j in 0..ncols {
-                assert_eq!(
-                    block[i * ncols + j].to_bits(),
-                    full[i * n + col0 + j].to_bits()
-                );
-            }
-        }
     }
 
     /// `matmul_in`'s column split (taken for short or wide products on a
@@ -1191,14 +1067,5 @@ mod tests {
                 .all(|(g, w)| g.to_bits() == w.to_bits());
             assert!(same, "threads={threads}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds table width")]
-    fn gemm_cols_out_of_range_panics() {
-        let a = vec![0.0f32; 2 * 3];
-        let b = vec![0.0f32; 3 * 4];
-        let mut out = vec![0.0f32; 2 * 2];
-        gemm_cols(&a, &b, &mut out, 2, 3, 4, 3, 2);
     }
 }

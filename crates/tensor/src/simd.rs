@@ -27,7 +27,7 @@
 //!    at every width; vectorisation only changes how many independent
 //!    elements advance per instruction. A partial block's padded lanes
 //!    compute on zeros and are never written back.
-//! 2. *Horizontal* kernels (row sum/max, dot) fix the accumulation
+//! 2. *Horizontal* kernels (row sum/max) fix the accumulation
 //!    *structure* — eight independent lane partials over `chunks_exact(8)`,
 //!    combined in lane order, then a sequential tail — and every level
 //!    implements exactly that structure. The scalar level emulates the
@@ -500,24 +500,6 @@ fn row_max_body<V: V8>(x: &[f32]) -> f32 {
     m
 }
 
-#[inline(always)]
-fn dot_body<V: V8>(a: &[f32], b: &[f32]) -> f32 {
-    let (main, tail) = split8(a.len().min(b.len()));
-    let mut acc = V::splat(0.0);
-    for i in (0..main).step_by(8) {
-        acc = acc.add(V::load(&a[i..]).mul(V::load(&b[i..])));
-    }
-    let lanes = acc.to_array();
-    let mut s = lanes[0];
-    for &l in &lanes[1..] {
-        s += l;
-    }
-    for i in tail {
-        s += a[i] * b[i];
-    }
-    s
-}
-
 /// Adam hyper-state for [`adam_step`], precomputed once per optimizer step.
 #[derive(Clone, Copy, Debug)]
 pub struct AdamConsts {
@@ -617,9 +599,6 @@ dispatch8!(row_max_body =>
     /// Lane-structured max with `maxps` pick semantics (`new > acc` wins,
     /// NaN never wins, `-∞` identity). Identical bits at every level.
     pub fn row_max(x: &[f32]) -> f32);
-dispatch8!(dot_body =>
-    /// Lane-structured dot product (same partial structure as [`row_sum`]).
-    pub fn dot(a: &[f32], b: &[f32]) -> f32);
 
 /// One Adam update over a parameter's flat buffers; `value`, `grad`, `m`
 /// and `v` must share a length. Same operation order per element at every
@@ -1094,9 +1073,5 @@ mod tests {
         let xs = [1.5f32, -2.25, 0.5];
         assert_eq!(row_sum(&xs).to_bits(), (1.5f32 + -2.25 + 0.5).to_bits());
         assert_eq!(row_max(&xs), 1.5);
-        assert_eq!(
-            dot(&xs, &xs).to_bits(),
-            xs.iter().map(|v| v * v).sum::<f32>().to_bits()
-        );
     }
 }

@@ -120,23 +120,6 @@ fn gemm_blocked_k_zero_is_identity_everywhere() {
 }
 
 #[test]
-fn gemm_cols_bitwise_across_levels() {
-    let _g = level_guard();
-    let (m, k, n) = (5usize, 48usize, 203usize);
-    let a = gemm_lhs(m, k, 17);
-    let b = uniform(&[k, n], -1.0, 1.0, &mut SeedRng::seed(19))
-        .data()
-        .to_vec();
-    for &(col0, ncols) in &[(0usize, 70usize), (70, 1), (71, 64), (135, 68)] {
-        assert_levels_bitwise(&format!("gemm_cols ({col0},{ncols})"), || {
-            let mut out = vec![0.0f32; m * ncols];
-            matmul::gemm_cols(&a, &b, &mut out, m, k, n, col0, ncols);
-            out
-        });
-    }
-}
-
-#[test]
 fn gemm_packed_bitwise_across_levels() {
     let _g = level_guard();
     // Pre-packed panels: serial, row split, and a column split over a
@@ -201,18 +184,6 @@ fn gemm_sub_mr_rows_bitwise_across_levels() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn matvec_bitwise_across_levels() {
-    let _g = level_guard();
-    for &(m, k) in &[(1usize, 3usize), (7, 8), (5, 67)] {
-        let a = uniform(&[m, k], -1.0, 1.0, &mut SeedRng::seed(23));
-        let x = uniform(&[k], -1.0, 1.0, &mut SeedRng::seed(27));
-        assert_levels_bitwise(&format!("matvec {m}x{k}"), || {
-            matmul::matvec(&a, &x).into_vec()
-        });
     }
 }
 

@@ -16,6 +16,7 @@
 //!                [--synthetic 2000 | --requests stream.txt] [--clients 8]
 //!                [--k 10] [--report results/serve_report.json]
 //!                [--access-log access.jsonl] [--linger-ms 0]
+//! isrec validate <kind> <file>…
 //! ```
 //!
 //! Every subcommand accepts `--metrics-out <path>`: telemetry (spans,
@@ -30,7 +31,9 @@
 //! request with its trace id and per-stage latency breakdown. `profile`
 //! runs a short profiled training session on synthetic data and emits both
 //! artifacts; `graph-dump` prints one training step's autograd tape as
-//! Graphviz DOT. See README §Observability.
+//! Graphviz DOT. See README §Observability. `validate` checks the files
+//! those subcommands write, one CI check per kind
+//! (`ist_obs::schema::validate`).
 //!
 //! `import` accepts `user,item,timestamp` (comma or tab separated) logs —
 //! the path for running the model on *real* datasets.
@@ -736,8 +739,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_validate(args: &Args) -> Result<(), String> {
+    let kind = args.positional.get(1).map_or("", |k| k.as_str());
+    let files = args.positional.get(2..).unwrap_or_default();
+    println!("{}", isrec_suite::obs::schema::validate(kind, files)?);
+    Ok(())
+}
+
 const USAGE: &str =
-    "usage: isrec <generate|import|stats|train|eval|explain|profile|graph-dump|serve> [--flag value]…
+    "usage: isrec <generate|import|stats|train|eval|explain|profile|graph-dump|serve|validate> [--flag value]…
 run with a subcommand; see the module docs at the top of src/bin/isrec.rs";
 
 fn main() -> ExitCode {
@@ -794,6 +804,7 @@ fn main() -> ExitCode {
         "profile" => cmd_profile(&args),
         "graph-dump" => cmd_graph_dump(&args),
         "serve" => cmd_serve(&args),
+        "validate" => cmd_validate(&args),
         other => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
     };
     isrec_suite::obs::flush();
