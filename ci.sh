@@ -166,6 +166,22 @@ run_simd() {
         exit 1
     fi
     echo "malformed IST_SIMD warned exactly once and fell back to the detected level"
+
+    # Likewise a malformed IST_THREADS: one warning, the detected pool size,
+    # and the same losses (pool size never changes them).
+    IST_THREADS=garbage \
+        cargo run --release --locked --example quickstart 2>"$glog" >/dev/null
+    warns=$(grep -c 'malformed IST_THREADS' "$glog" || true)
+    if [ "$warns" -ne 1 ]; then
+        echo "FAIL: expected exactly one malformed-IST_THREADS warning, saw $warns" >&2
+        grep 'IST_THREADS' "$glog" >&2 || true
+        exit 1
+    fi
+    if ! diff <(grep '^epoch' "$glog") <(grep '^epoch' "$b1") >/dev/null; then
+        echo "FAIL: IST_THREADS=garbage changed the losses (must fall back to detected)" >&2
+        exit 1
+    fi
+    echo "malformed IST_THREADS warned exactly once and fell back to the detected size"
 }
 
 run_faults() {

@@ -70,20 +70,12 @@ impl FaultPlan {
     /// ignored (the CI fault gate then fails loudly on its empty recovery
     /// log rather than the trainer crashing mid-run).
     pub fn from_env() -> FaultPlan {
-        match std::env::var("IST_FAULTS") {
-            Err(_) => FaultPlan::default(),
-            Ok(spec) if spec.trim().is_empty() => FaultPlan::default(),
-            Ok(spec) => match FaultPlan::parse(&spec) {
-                Ok(plan) => {
-                    eprintln!("fault injection active: {spec}");
-                    plan
-                }
-                Err(e) => {
-                    eprintln!("warning: ignoring IST_FAULTS: {e}");
-                    FaultPlan::default()
-                }
-            },
-        }
+        let parse = |spec: &str| {
+            let plan = FaultPlan::parse(spec)?;
+            eprintln!("fault injection active: {spec}");
+            Ok(plan)
+        };
+        ist_obs::env::parsed("IST_FAULTS", "no faults", parse).unwrap_or_default()
     }
 
     /// True when no faults remain to fire.

@@ -90,14 +90,11 @@ pub fn start(addr: &str) -> Result<SocketAddr, String> {
     Ok(local)
 }
 
-/// Starts the endpoint when `IST_METRICS_ADDR` is set. `None` when unset;
-/// `Some(Err(..))` when set but unusable (callers decide how loudly to
-/// fail — a bad knob should not take a soak down by default).
-pub fn start_from_env() -> Option<Result<SocketAddr, String>> {
-    match std::env::var("IST_METRICS_ADDR") {
-        Ok(addr) if !addr.trim().is_empty() => Some(start(addr.trim())),
-        _ => None,
-    }
+/// Starts the endpoint when `IST_METRICS_ADDR` is set, returning the bound
+/// address. `None` when unset, or when set but unusable: that warns once
+/// and runs without an endpoint, so a bad knob cannot take a soak down.
+pub fn start_from_env() -> Option<SocketAddr> {
+    crate::env::parsed("IST_METRICS_ADDR", "no endpoint", start)
 }
 
 /// One HTTP/1.1 `GET path` against `addr`: `(status, body)`. Connecting,

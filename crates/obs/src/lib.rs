@@ -129,22 +129,14 @@ pub fn set_mode(mode: Mode) {
 
 #[cold]
 fn init_mode_from_env() -> Mode {
-    let resolved = match std::env::var("IST_METRICS") {
-        Ok(v) => match v.trim() {
-            "json" => Mode::Json,
-            "summary" => Mode::Summary,
-            "collect" => Mode::Collect,
-            "" | "off" | "0" => Mode::Off,
-            other => {
-                eprintln!(
-                    "warning: unknown IST_METRICS={other:?} (expected json|summary|collect|off); \
-                     metrics stay off"
-                );
-                Mode::Off
-            }
-        },
-        Err(_) => Mode::Off,
+    let mode = |v: &str| match v {
+        "json" => Ok(Mode::Json),
+        "summary" => Ok(Mode::Summary),
+        "collect" => Ok(Mode::Collect),
+        "off" | "0" => Ok(Mode::Off),
+        _ => Err("expected json|summary|collect|off".to_string()),
     };
+    let resolved = env::parsed("IST_METRICS", "off", mode).unwrap_or(Mode::Off);
     set_mode(resolved);
     resolved
 }
@@ -195,17 +187,9 @@ enum SinkTarget {
 fn sink() -> &'static Mutex<SinkTarget> {
     static SINK: OnceLock<Mutex<SinkTarget>> = OnceLock::new();
     SINK.get_or_init(|| {
-        let target = match std::env::var("IST_METRICS_OUT") {
-            Ok(path) if !path.trim().is_empty() => match std::fs::File::create(path.trim()) {
-                Ok(f) => SinkTarget::Writer(Box::new(f)),
-                Err(e) => {
-                    eprintln!("warning: cannot open IST_METRICS_OUT={path:?}: {e}; using stderr");
-                    SinkTarget::Stderr
-                }
-            },
-            _ => SinkTarget::Stderr,
-        };
-        Mutex::new(target)
+        let open = |path: &str| std::fs::File::create(path).map_err(|e| e.to_string());
+        let file = env::parsed("IST_METRICS_OUT", "stderr", open);
+        Mutex::new(file.map_or(SinkTarget::Stderr, |f| SinkTarget::Writer(Box::new(f))))
     })
 }
 
@@ -644,21 +628,10 @@ impl Drop for Span {
 // JSON helpers
 // ---------------------------------------------------------------------------
 
+/// `s` as a JSON string literal.
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let _ = schema::write_string(&mut out, s);
     out
 }
 

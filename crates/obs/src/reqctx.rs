@@ -32,12 +32,15 @@
 //! of the reported stage micros can never exceed `total_us` — a property
 //! the CI access-log validator asserts per line.
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::{json_string, lock_tolerant};
+use crate::lock_tolerant;
+pub use crate::schema::Exemplar;
+use crate::schema::Show;
 
 /// Pipeline stages of one request, in lifecycle order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,12 +63,6 @@ pub enum Stage {
 
 /// Number of [`Stage`] variants.
 pub const NUM_STAGES: usize = 7;
-
-/// Stage key names, in [`Stage`] order, as they appear in access-log lines
-/// and exemplar records (`"<name>_us"`).
-pub const STAGE_NAMES: [&str; NUM_STAGES] = [
-    "queue", "batch", "cache", "encode", "score", "merge", "reply",
-];
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -172,16 +169,8 @@ pub fn access_log_enabled() -> bool {
 
 #[cold]
 fn init_access_from_env() -> bool {
-    let on = match std::env::var("IST_SERVE_ACCESS_LOG") {
-        Ok(path) if !path.trim().is_empty() => match set_access_log_path(path.trim()) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!("warning: IST_SERVE_ACCESS_LOG: {e}; access log disabled");
-                false
-            }
-        },
-        _ => false,
-    };
+    let path = crate::env::parsed("IST_SERVE_ACCESS_LOG", "no access log", set_access_log_path);
+    let on = path.is_some();
     if !on {
         ACCESS_STATE.store(ACCESS_OFF, Ordering::Relaxed);
     }
@@ -217,40 +206,17 @@ pub fn disable_access_log() {
 /// How many slowest-request exemplars the reservoir keeps.
 pub const EXEMPLAR_CAP: usize = 8;
 
-/// One fully-attributed slow request, kept by the reservoir and flushed
-/// into the chrome trace and the serve report.
-#[derive(Clone, Debug)]
-pub struct Exemplar {
-    /// Trace id.
-    pub id: u64,
-    /// End-to-end latency, microseconds.
-    pub total_us: u64,
-    /// Trace-epoch start, nanoseconds (timeline placement).
-    pub start_ns: u64,
-    /// Outcome tag: `"ok"` or a typed `ServeError` kind.
-    pub outcome: &'static str,
-    /// True when the degraded-mode fallback produced the answer.
-    pub degraded: bool,
-    /// Request shape: history length and requested k.
-    pub history_len: u64,
-    /// Requested top-K.
-    pub k: u64,
-    /// Whether the representation was served from cache.
-    pub cache_hit: bool,
-    /// Coalesced batch size the request rode in.
-    pub batch: u64,
-    /// Per-stage micros, [`STAGE_NAMES`] order.
-    pub stage_us: [u64; NUM_STAGES],
-}
-
-fn reservoir() -> &'static Mutex<Vec<Exemplar>> {
-    static RESERVOIR: OnceLock<Mutex<Vec<Exemplar>>> = OnceLock::new();
+/// The kept exemplars, slowest first, each with its start on the trace
+/// clock ([`crate::trace::now_ns`]).
+fn reservoir() -> &'static Mutex<Vec<(Exemplar, u64)>> {
+    static RESERVOIR: OnceLock<Mutex<Vec<(Exemplar, u64)>>> = OnceLock::new();
     RESERVOIR.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// The current slowest-N exemplars, slowest first.
 pub fn exemplars() -> Vec<Exemplar> {
-    lock_tolerant(reservoir()).clone()
+    let res = lock_tolerant(reservoir());
+    res.iter().map(|(e, _)| e.clone()).collect()
 }
 
 /// Clears the reservoir (tests; process-global like everything here).
@@ -279,46 +245,38 @@ pub fn finish(ctx: &ReqCtx, outcome: &'static str, degraded: bool) -> u64 {
     }
     let total_us = end_ns / 1_000;
 
-    let cache_hit = ctx.cache_hit.load(Ordering::Relaxed);
-    let batch = ctx.batch.load(Ordering::Relaxed);
-
+    let [queue_us, batch_us, cache_us, encode_us, score_us, merge_us, reply_us] = stage_us;
+    let ex = Exemplar {
+        req: ctx.id,
+        outcome,
+        degraded,
+        hist: ctx.history_len,
+        k: ctx.k,
+        cache_hit: ctx.cache_hit.load(Ordering::Relaxed),
+        batch: ctx.batch.load(Ordering::Relaxed),
+        total_us,
+        queue_us,
+        batch_us,
+        cache_us,
+        encode_us,
+        score_us,
+        merge_us,
+        reply_us,
+    };
     if access_log_enabled() {
-        let mut line = format!(
-            "{{\"req\":{},\"outcome\":{},\"degraded\":{degraded},\"hist\":{},\"k\":{},\
-             \"cache_hit\":{cache_hit},\"batch\":{batch},\
-             \"total_us\":{total_us}",
-            ctx.id,
-            json_string(outcome),
-            ctx.history_len,
-            ctx.k,
-        );
-        for (name, us) in STAGE_NAMES.iter().zip(&stage_us) {
-            line.push_str(&format!(",\"{name}_us\":{us}"));
-        }
-        line.push('}');
+        let mut line = String::with_capacity(256);
+        let _ = writeln!(line, "{}", Show(&ex));
         if let Some(w) = &mut *lock_tolerant(access_sink()) {
             // Log write failures must never take serving down.
-            let _ = writeln!(w, "{line}");
+            let _ = w.write_all(line.as_bytes());
             let _ = w.flush();
         }
     }
-
-    offer_exemplar(Exemplar {
-        id: ctx.id,
-        total_us,
-        start_ns: ctx.start_ns,
-        outcome,
-        degraded,
-        history_len: ctx.history_len,
-        k: ctx.k,
-        cache_hit,
-        batch,
-        stage_us,
-    });
+    offer_exemplar(ex, ctx.start_ns);
     total_us
 }
 
-fn offer_exemplar(e: Exemplar) {
+fn offer_exemplar(e: Exemplar, start_ns: u64) {
     let mut res = lock_tolerant(reservoir());
     if res.len() >= EXEMPLAR_CAP {
         // Reservoir full: replace the fastest kept exemplar if this one is
@@ -326,16 +284,16 @@ fn offer_exemplar(e: Exemplar) {
         let (fastest, _) = res
             .iter()
             .enumerate()
-            .min_by_key(|(_, x)| (x.total_us, u64::MAX - x.id))
+            .min_by_key(|(_, (x, _))| (x.total_us, u64::MAX - x.req))
             .expect("non-empty reservoir");
-        if res[fastest].total_us >= e.total_us {
+        if res[fastest].0.total_us >= e.total_us {
             return;
         }
-        res[fastest] = e;
+        res[fastest] = (e, start_ns);
     } else {
-        res.push(e);
+        res.push((e, start_ns));
     }
-    res.sort_by_key(|x| (u64::MAX - x.total_us, x.id));
+    res.sort_by_key(|(x, _)| (u64::MAX - x.total_us, x.req));
 }
 
 /// Renders the reservoir as chrome-trace `"X"` (complete) events on a
@@ -352,27 +310,13 @@ pub(crate) fn exemplar_trace_events() -> Vec<String> {
          \"args\":{\"name\":\"slow-request exemplars\"}}"
             .to_string(),
     );
-    for e in res.iter() {
-        let mut args = format!(
-            "{{\"req\":{},\"outcome\":{},\"degraded\":{},\"hist\":{},\"k\":{},\
-             \"cache_hit\":{},\"batch\":{}",
-            e.id,
-            json_string(e.outcome),
-            e.degraded,
-            e.history_len,
-            e.k,
-            e.cache_hit,
-            e.batch
-        );
-        for (name, us) in STAGE_NAMES.iter().zip(&e.stage_us) {
-            args.push_str(&format!(",\"{name}_us\":{us}"));
-        }
-        args.push('}');
+    for (e, start_ns) in res.iter() {
         out.push(format!(
             "{{\"name\":\"serve.exemplar\",\"cat\":\"exemplar\",\"ph\":\"X\",\"ts\":{:.3},\
-             \"dur\":{},\"pid\":1,\"tid\":0,\"args\":{args}}}",
-            e.start_ns as f64 / 1_000.0,
-            e.total_us
+             \"dur\":{},\"pid\":1,\"tid\":0,\"args\":{}}}",
+            *start_ns as f64 / 1_000.0,
+            e.total_us,
+            Show(e)
         ));
     }
     out
@@ -427,15 +371,14 @@ mod tests {
         let text = String::from_utf8(lock_tolerant(&buf.0).clone()).unwrap();
         let recs = crate::schema::access_log(&text).unwrap();
         let r = &recs[0];
-        assert_eq!((recs.len(), r.req, r.outcome.as_str()), (1, ctx.id(), "ok"));
-        assert_eq!((r.cache_hit, r.batch), (true, 4));
-        assert!(text.contains("\"hist\":6"), "{text}");
+        assert_eq!((recs.len(), r.req, r.outcome), (1, ctx.id(), "ok"));
+        assert_eq!((r.cache_hit, r.batch, r.hist), (true, 4, 6));
         // Recorded stage micros cannot exceed the request's total.
         let ex = exemplars();
         assert_eq!(ex.len(), 1);
         assert_eq!(ex[0].total_us, total);
-        assert!(ex[0].stage_us.iter().sum::<u64>() <= total);
-        assert!(ex[0].stage_us[Stage::Queue as usize] >= 2_000);
+        assert!(ex[0].stage_us().iter().sum::<u64>() <= total);
+        assert!(ex[0].queue_us >= 2_000);
         disable_access_log();
     }
 
@@ -444,18 +387,12 @@ mod tests {
         let _guard = crate::test_mode_lock();
         reset_exemplars();
         for i in 0..(EXEMPLAR_CAP as u64 + 20) {
-            offer_exemplar(Exemplar {
-                id: i,
+            let e = Exemplar {
+                req: i,
                 total_us: i * 10,
-                start_ns: 0,
-                outcome: "ok",
-                degraded: false,
-                history_len: 1,
-                k: 1,
-                cache_hit: false,
-                batch: 1,
-                stage_us: [0; NUM_STAGES],
-            });
+                ..Exemplar::default()
+            };
+            offer_exemplar(e, 0);
         }
         let ex = exemplars();
         assert_eq!(ex.len(), EXEMPLAR_CAP);

@@ -8,9 +8,12 @@
 //! * [`chrome_trace`] — the trace timeline ([`crate::trace::export_json`]);
 //! * [`exposition`] and [`sample`] — the `/metrics` body
 //!   ([`crate::Snapshot::to_prometheus`]);
-//! * [`access_log`] — per-request lines ([`crate::reqctx::finish`]);
-//! * [`serve_report`] — the `isrec.serve_report.v5` document `isrec serve
-//!   --report` writes.
+//! * [`access_log`] — per-request lines ([`crate::reqctx::finish`]).
+//!
+//! The serve report (`isrec.serve_report.v5`, [`ServeReport`]), the
+//! `/healthz` body ([`Health`]) and the request record ([`Exemplar`]) are
+//! documents: each struct's fields are its keys, and one writer and one
+//! reader ([`Field`]) follow them.
 //!
 //! Every checker returns `Err` with a message naming the offending line,
 //! event or field. The scenario checks that CI runs on top of these
@@ -18,8 +21,6 @@
 //! [`validate`], the engine of `isrec validate <kind> <file>…`.
 
 use std::collections::{BTreeMap, BTreeSet};
-
-use crate::reqctx::STAGE_NAMES;
 
 /// Returns `Err(format!(…))` from the enclosing function unless `cond`
 /// holds.
@@ -33,8 +34,21 @@ macro_rules! ensure {
 }
 
 mod kinds;
+mod report;
 
 pub use kinds::{soak_final, soak_health, soak_step, validate, SERVE_REQUESTS};
+pub(crate) use report::write_string;
+pub use report::{
+    Batches, Cache, Config, EngineHealth, Exemplar, Field, Health, Latency, Resilience,
+    ServeReport, Show, SloSnapshot,
+};
+
+/// The kinds a serve request may fail with (`ServeError::kind`), as the
+/// access log, the report's `resilience.errors` and its exemplars name
+/// them.
+pub const ERROR_KINDS: [&str; 6] = [
+    "invalid", "deadline", "shed", "panic", "internal", "shutdown",
+];
 
 /// A parsed JSON value. Objects keep their fields in document order.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,7 +57,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (every value this workspace writes fits an `f64`).
+    /// Any finite number (every value this workspace writes fits an
+    /// `f64`).
     Num(f64),
     /// A string, escapes decoded.
     Str(String),
@@ -73,16 +88,18 @@ impl Json {
     }
 
     /// The value of `key` when `self` is an object holding it (the last
-    /// occurrence, as most readers take it).
+    /// occurrence, as most readers take it), or the item at index `key`
+    /// when `self` is an array.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Arr(items) => items.get(key.parse::<usize>().ok()?),
             _ => None,
         }
     }
 
-    /// The value at a dot-separated path (`"resilience.answered"`); the
-    /// error names the path.
+    /// The value at a dot-separated path (`"resilience.answered"`,
+    /// `"exemplars.0.req"`); the error names the path.
     pub fn at(&self, path: &str) -> Result<&Json, String> {
         path.split('.')
             .try_fold(self, |v, key| v.get(key))
@@ -140,25 +157,12 @@ impl Json {
     }
 }
 
-/// Compact JSON, as error messages quote a value.
+/// Compact JSON through the documents' writer ([`Field`]); `{:#}` puts
+/// each top-level field of an object on its own line. Non-finite numbers,
+/// which JSON cannot hold, are written as `null`.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let join = |parts: Vec<String>| parts.join(",");
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) => write!(f, "{v}"),
-            Json::Str(s) => f.write_str(&crate::json_string(s)),
-            Json::Arr(items) => {
-                write!(f, "[{}]", join(items.iter().map(Json::to_string).collect()))
-            }
-            Json::Obj(fields) => {
-                let fields = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}:{v}", crate::json_string(k)));
-                write!(f, "{{{}}}", join(fields.collect()))
-            }
-        }
+        self.write(f)
     }
 }
 
@@ -336,7 +340,7 @@ impl Parser<'_> {
             self.digits()
         };
         let num = self.text[start..self.at].parse().ok();
-        num.filter(|_| int && frac && exp)
+        num.filter(|v: &f64| int && frac && exp && v.is_finite())
             .map(Json::Num)
             .ok_or_else(|| self.err("bad number"))
     }
@@ -531,89 +535,23 @@ pub fn sample(body: &str, name: &str) -> Option<f64> {
     line.rsplit(' ').next()?.parse().ok()
 }
 
-/// One access-log line, as [`access_log`] read it.
-#[derive(Debug)]
-pub struct AccessRecord {
-    /// Trace id.
-    pub req: u64,
-    /// `ok` or the typed error kind.
-    pub outcome: String,
-    /// Requests in the batch that scored it (0 when none did).
-    pub batch: u64,
-    /// Whether the representation came from the cache.
-    pub cache_hit: bool,
-}
-
-/// Checks access-log lines: each an object with `req`, `outcome`,
-/// `total_us`, `batch`, `cache_hit` and one `<stage>_us` per
-/// [`STAGE_NAMES`]; `req` unique; the stages summing to at most
-/// `total_us`.
-pub fn access_log(text: &str) -> Result<Vec<AccessRecord>, String> {
+/// Checks access-log lines: each a request record ([`Exemplar`]), `req`
+/// unique, the stages summing to at most `total_us`.
+pub fn access_log(text: &str) -> Result<Vec<Exemplar>, String> {
     let mut seen = BTreeSet::new();
     let mut out = Vec::new();
     for (i, line) in numbered_lines(text) {
-        let rec = parse_line(i, line)?;
-        let field = |e: String| format!("access-log line {i} {e}: {line}");
-        let req = rec.uint("req").map_err(field)?;
-        let total = rec.uint("total_us").map_err(field)?;
-        let mut stages = 0;
-        for s in STAGE_NAMES {
-            stages += rec.uint(&format!("{s}_us")).map_err(field)?;
-        }
-        out.push(AccessRecord {
-            req,
-            outcome: rec.text("outcome").map_err(field)?.to_string(),
-            batch: rec.uint("batch").map_err(field)?,
-            cache_hit: rec.flag("cache_hit").map_err(field)?,
-        });
+        let rec = Exemplar::read(&parse_line(i, line)?, "")
+            .map_err(|e| format!("access-log line {i} {e}: {line}"))?;
+        let (req, total, stages) = (rec.req, rec.total_us, rec.stage_us().iter().sum::<u64>());
         ensure!(seen.insert(req), "duplicate trace id {req} on line {i}");
         ensure!(
             stages <= total,
             "line {i}: stage breakdown {stages}us exceeds total latency {total}us: {line}"
         );
+        out.push(rec);
     }
     Ok(out)
-}
-
-/// The serve report's schema tag.
-const SERVE_REPORT_SCHEMA: &str = "isrec.serve_report.v5";
-
-/// The numeric fields of a v5 serve report, by path.
-const REPORT_NUMBERS: &str = "requests clients k elapsed_s throughput_rps scores_crc \
-     latency_us.p50 latency_us.p95 latency_us.p99 latency_us.mean latency_us.max \
-     batch.count batch.avg batch.max cache.hits cache.misses cache.hit_rate \
-     resilience.answered resilience.failed resilience.degraded_answers resilience.shed \
-     resilience.timed_out resilience.scorer_panics resilience.respawns \
-     resilience.reload_skipped slo.total_observed slo.p99_us slo.error_pct slo.error_burn";
-
-/// Checks an `isrec serve --report` document: the v5 schema tag, every
-/// numeric field of [`REPORT_NUMBERS`], the `resilience.degraded` and
-/// `slo.active` flags, `resilience.errors` as an object of counts, and
-/// `exemplars` as an array whose entries carry `total_us` and one
-/// `<stage>_us` per [`STAGE_NAMES`]. Returns the document.
-pub fn serve_report(text: &str) -> Result<Json, String> {
-    let r = Json::parse(text)?;
-    let schema = r.text("schema")?;
-    ensure!(
-        schema == SERVE_REPORT_SCHEMA,
-        "unexpected report schema {schema:?}"
-    );
-    for path in REPORT_NUMBERS.split_whitespace() {
-        r.num(path)?;
-    }
-    r.flag("resilience.degraded")?;
-    r.flag("slo.active")?;
-    for (kind, _) in r.fields("resilience.errors")? {
-        r.uint(&format!("resilience.errors.{kind}"))?;
-    }
-    for (i, ex) in r.items("exemplars")?.iter().enumerate() {
-        let stages = STAGE_NAMES.iter().map(|s| format!("{s}_us"));
-        for key in stages.chain(["total_us".to_string()]) {
-            ex.num(&key)
-                .map_err(|e| format!("malformed exemplar {i}: {e}"))?;
-        }
-    }
-    Ok(r)
 }
 
 #[cfg(test)]
@@ -646,6 +584,7 @@ mod tests {
             ("\"\\x\"", "bad escape at byte 2"),
             ("{1: 2}", "expected a string key at byte 1"),
             ("[] x", "trailing characters at byte 3"),
+            ("1e999", "bad number at byte 5"),
             ("nul", "unexpected character at byte 0"),
             ("\"\\u12x4\"", "bad \\u escape at byte 3"),
         ] {
@@ -675,16 +614,56 @@ mod tests {
 
     #[test]
     fn serve_report_requires_every_v5_field() {
+        /// Every field path of `doc`, nested blocks before the block
+        /// itself; `errors`' counts and `exemplars`' items are data, not
+        /// fields.
+        fn paths(prefix: &str, doc: &Json, out: &mut Vec<String>) {
+            let Json::Obj(fields) = doc else { return };
+            for (key, value) in fields {
+                let path = format!("{prefix}{key}");
+                if key != "errors" && key != "exemplars" {
+                    paths(&format!("{path}."), value, out);
+                }
+                out.push(path);
+            }
+        }
+        /// Removes the field at the dotted `path`.
+        fn remove(doc: &mut Json, path: &str) {
+            let Json::Obj(fields) = doc else { return };
+            match path.split_once('.') {
+                None => fields.retain(|(k, _)| k != path),
+                Some((head, rest)) => {
+                    let inner = fields.iter_mut().filter(|(k, _)| k == head);
+                    inner.for_each(|(_, v)| remove(v, rest));
+                }
+            }
+        }
         let good = include_str!("../tests/fixtures/serve-report/good.json");
-        assert!(serve_report(good).is_ok());
-        for path in REPORT_NUMBERS.split_whitespace() {
-            let key = path.rsplit('.').next().unwrap();
-            let broken = good.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
-            let err = serve_report(&broken).unwrap_err();
-            assert!(
-                err.starts_with("lacks ") && err.ends_with(key),
-                "{path}: {err}"
-            );
+        let text = format!("{:#}", Show(&ServeReport::parse(good).unwrap()));
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(format!("{doc:#}"), text);
+        let mut all = Vec::new();
+        paths("", &doc, &mut all);
+        assert_eq!(all.len(), 54);
+        for path in [
+            "slo.error_burn",
+            "slo.p99_us",
+            "resilience.shed",
+            "latency_us.p99",
+        ] {
+            assert!(all.iter().any(|p| p == path), "{path}");
+        }
+        // The fixture's numbers carry the decimals the format writes, so
+        // rendering keeps every value (exemplar keys come in record order).
+        let fixture = Json::parse(good).unwrap();
+        for path in all.iter().filter(|p| *p != "exemplars") {
+            assert_eq!(doc.at(path), fixture.at(path), "{path}");
+        }
+        for path in all {
+            let mut doc = doc.clone();
+            remove(&mut doc, &path);
+            let err = ServeReport::read(&doc, "").unwrap_err();
+            assert!(err.starts_with(&format!("lacks {path}")), "{path}: {err}");
         }
     }
 

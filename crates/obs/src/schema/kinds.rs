@@ -7,7 +7,8 @@ use std::net::SocketAddr;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use super::{access_log, chrome_trace, exposition, metrics_lines, sample, serve_report, Json};
+use super::{access_log, chrome_trace, exposition, metrics_lines, sample, Json};
+use super::{Field, Health, ServeReport, Show, ERROR_KINDS};
 use crate::export;
 
 /// Requests the serve gate's soak sends; the report, the access log and
@@ -41,23 +42,9 @@ const SCRAPE_FAMILIES: [&str; 4] = [
     "serve_batch_size_count",
 ];
 
-/// Resilience counters that stay 0 on a fault-free run.
-const FAULT_COUNTERS: [&str; 5] = [
-    "shed",
-    "timed_out",
-    "scorer_panics",
-    "respawns",
-    "degraded_answers",
-];
-
-/// Error kinds a serve request may fail with.
-const ERROR_KINDS: [&str; 6] = [
-    "invalid", "deadline", "shed", "panic", "internal", "shutdown",
-];
-
 /// The longest a chaos request may take: its 2 000 ms deadline plus
 /// scheduling slack.
-const CHAOS_MAX_LATENCY_US: f64 = 4_000_000.0;
+const CHAOS_MAX_LATENCY_US: u64 = 4_000_000;
 
 /// Waits of the live soak, in seconds: for the bound address, for the
 /// scrape to reach [`SERVE_REQUESTS`], and for the report.
@@ -73,7 +60,8 @@ const USAGE: &str = "usage: isrec validate <kind> <file>…, kinds: \
 pub fn validate(kind: &str, files: &[String]) -> Result<String, String> {
     let read =
         |path: &String| std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"));
-    let report = |path: &String| serve_report(&read(path)?).map_err(|e| format!("{path}: {e}"));
+    let report =
+        |path: &String| ServeReport::parse(&read(path)?).map_err(|e| format!("{path}: {e}"));
     match (kind, files) {
         ("metrics", [f]) => metrics(&read(f)?),
         ("trace", [f]) => trace(&read(f)?),
@@ -84,9 +72,9 @@ pub fn validate(kind: &str, files: &[String]) -> Result<String, String> {
         ("serve-metrics", [f]) => serve_metrics(&read(f)?),
         ("chaos", [base, run, rerun]) => chaos(&report(base)?, &report(run)?, &report(rerun)?),
         ("crc", [first, rest @ ..]) if !rest.is_empty() => {
-            let want = report(first)?.uint("scores_crc")?;
+            let want = report(first)?.scores_crc;
             for f in rest {
-                let crc = report(f)?.uint("scores_crc")?;
+                let crc = report(f)?.scores_crc;
                 ensure!(
                     crc == want,
                     "scores_crc differs: {first} has {want}, {f} has {crc}"
@@ -202,16 +190,14 @@ pub fn soak_final(body: &str) -> Result<(), String> {
 /// degraded, and an SLO monitor that saw every request.
 pub fn soak_health(status: u16, body: &str) -> Result<(), String> {
     ensure!(status == 200, "/healthz answered {status}: {body}");
-    let health = Json::parse(body).map_err(|e| format!("/healthz body ({e}): {body}"))?;
-    let engine = matches!(health.get("engine"), Some(Json::Obj(f)) if !f.is_empty());
-    ensure!(engine, "/healthz has no engine block: {body}");
+    let health = Json::parse(body).and_then(|doc| Health::read(&doc, ""));
+    let health = health.map_err(|e| format!("/healthz body ({e}): {body}"))?;
     ensure!(
-        !health.flag("engine.degraded")?,
+        !health.engine.degraded,
         "engine degraded after a fault-free soak: {body}"
     );
-    let observed = health.uint("engine.slo.total_observed")?;
     ensure!(
-        observed == SERVE_REQUESTS,
+        health.engine.slo.total_observed == SERVE_REQUESTS,
         "SLO monitor missed requests: {body}"
     );
     Ok(())
@@ -281,51 +267,42 @@ fn soak(err_path: &str, report_path: &str, scrape_out: &str) -> Result<String, S
 
 /// The fault-free soak's report: SLO monitor live and unburnt, exemplars
 /// slowest first, the batcher coalescing, the cache hitting, every
-/// request answered and every resilience counter 0.
-fn soak_report(r: &Json) -> Result<String, String> {
-    let requests = r.uint("requests")?;
-    let slo = r.at("slo")?;
+/// request answered and every fault counter 0.
+fn soak_report(r: &ServeReport) -> Result<String, String> {
+    let (requests, slo) = (r.requests, &r.slo);
     ensure!(
-        r.flag("slo.active")?,
+        slo.active,
         "SLO monitor inactive despite access log + endpoint"
     );
-    let observed = r.uint("slo.total_observed")?;
     ensure!(
-        observed == requests,
-        "SLO observed {observed} of {requests} requests"
+        slo.total_observed == requests,
+        "SLO observed {} of {requests} requests",
+        slo.total_observed
     );
-    ensure!(r.num("slo.p99_us")? > 0.0, "SLO p99 not positive: {slo}");
-    let burnt = r.num("slo.error_pct")? != 0.0 || r.num("slo.error_burn")? != 0.0;
-    ensure!(!burnt, "fault-free soak burned error budget: {slo}");
-    let exs = r.items("exemplars")?;
+    let slo_json = Show(slo);
+    ensure!(slo.p99_us > 0, "SLO p99 not positive: {slo_json}");
+    let burnt = slo.error_pct != 0.0 || slo.error_burn != 0.0;
+    ensure!(!burnt, "fault-free soak burned error budget: {slo_json}");
+    let totals: Vec<u64> = r.exemplars.iter().map(|ex| ex.total_us).collect();
     ensure!(
-        !exs.is_empty() && exs.len() <= MAX_EXEMPLARS,
+        !totals.is_empty() && totals.len() <= MAX_EXEMPLARS,
         "exemplar reservoir has {} entries",
-        exs.len()
+        totals.len()
     );
-    let totals = exs
-        .iter()
-        .map(|ex| ex.num("total_us"))
-        .collect::<Result<Vec<_>, _>>()?;
     ensure!(
-        totals.iter().all(|&t| t > 0.0),
+        totals.iter().all(|&t| t > 0),
         "malformed exemplar total_us: {totals:?}"
     );
     ensure!(
         totals.windows(2).all(|w| w[0] >= w[1]),
         "exemplars not sorted slowest-first: {totals:?}"
     );
-    let p99 = r.num("latency_us.p99")?;
-    ensure!(
-        p99.is_finite() && p99 > 0.0,
-        "p99 latency is not a positive finite number: {p99}"
-    );
-    let avg_batch = r.num("batch.avg")?;
+    let (p99, avg_batch, hit_rate) = (r.latency_us.p99, r.batch.avg, r.cache.hit_rate);
+    ensure!(p99 > 0, "p99 latency is not positive: {p99}");
     ensure!(
         avg_batch > 1.0,
         "average batch size {avg_batch} — micro-batcher never coalesced"
     );
-    let hit_rate = r.num("cache.hit_rate")?;
     ensure!(
         hit_rate > 0.0,
         "zero cache hit rate on a repeated-user stream"
@@ -335,15 +312,21 @@ fn soak_report(r: &Json) -> Result<String, String> {
         "expected {SERVE_REQUESTS} requests, saw {requests}"
     );
     fault_free("soak", r)?;
-    let res = r.at("resilience")?;
+    let res = &r.resilience;
     ensure!(
-        r.uint("resilience.answered")? == requests,
-        "fault-free run reported failures: {res}"
+        res.answered == requests,
+        "fault-free run reported failures: {res:?}"
     );
-    for c in FAULT_COUNTERS {
+    for (counter, n) in [
+        ("shed", res.shed),
+        ("timed_out", res.timed_out),
+        ("scorer_panics", res.scorer_panics),
+        ("respawns", res.respawns),
+        ("degraded_answers", res.degraded_answers),
+    ] {
         ensure!(
-            r.uint(&format!("resilience.{c}"))? == 0,
-            "fault-free run tripped resilience counter {c}: {res}"
+            n == 0,
+            "fault-free run tripped resilience counter {counter}: {res:?}"
         );
     }
     Ok(format!(
@@ -353,15 +336,10 @@ fn soak_report(r: &Json) -> Result<String, String> {
 
 /// A fault-free run failed nothing, logged no error kind and did not end
 /// degraded.
-fn fault_free(name: &str, r: &Json) -> Result<(), String> {
-    let clean = r.uint("resilience.failed")? == 0
-        && r.fields("resilience.errors")?.is_empty()
-        && !r.flag("resilience.degraded")?;
-    ensure!(
-        clean,
-        "fault-free {name} run reported failures: {}",
-        r.at("resilience")?
-    );
+fn fault_free(name: &str, r: &ServeReport) -> Result<(), String> {
+    let res = &r.resilience;
+    let clean = res.failed == 0 && res.errors.is_empty() && !res.degraded;
+    ensure!(clean, "fault-free {name} run reported failures: {res:?}");
     Ok(())
 }
 
@@ -415,52 +393,44 @@ fn serve_metrics(text: &str) -> Result<String, String> {
 /// The chaos gate: every chaos request ends in a typed outcome within its
 /// deadline and the engine recovers; the fault-free runs around it fail
 /// nothing and score bit for bit alike.
-fn chaos(base: &Json, chaos: &Json, rerun: &Json) -> Result<String, String> {
-    let requests = chaos.uint("requests")?;
-    let (answered, failed) = (
-        chaos.uint("resilience.answered")?,
-        chaos.uint("resilience.failed")?,
-    );
-    let (res, errors) = (chaos.at("resilience")?, chaos.at("resilience.errors")?);
+fn chaos(base: &ServeReport, chaos: &ServeReport, rerun: &ServeReport) -> Result<String, String> {
+    let (requests, res) = (chaos.requests, &chaos.resilience);
     ensure!(
-        answered + failed == requests,
-        "chaos run lost requests: {res} of {requests}"
+        res.answered + res.failed == requests,
+        "chaos run lost requests: {res:?} of {requests}"
     );
-    let mut typed = 0;
-    for (kind, _) in chaos.fields("resilience.errors")? {
-        ensure!(
-            ERROR_KINDS.contains(&kind.as_str()),
-            "untyped error kind {kind:?}"
-        );
-        typed += chaos.uint(&format!("resilience.errors.{kind}"))?;
+    if let Some(kind) = res
+        .errors
+        .keys()
+        .find(|k| !ERROR_KINDS.contains(&k.as_str()))
+    {
+        return Err(format!("untyped error kind {kind:?}"));
     }
-    ensure!(typed == failed, "failed/errors mismatch: {res}");
-    let (panics, respawns) = (
-        chaos.uint("resilience.scorer_panics")?,
-        chaos.uint("resilience.respawns")?,
+    let typed: u64 = res.errors.values().sum();
+    ensure!(typed == res.failed, "failed/errors mismatch: {res:?}");
+    ensure!(
+        res.scorer_panics >= 1 && res.respawns >= 1,
+        "injected panics did not register: {res:?}"
     );
     ensure!(
-        panics >= 1 && respawns >= 1,
-        "injected panics did not register: {res}"
+        !res.degraded,
+        "engine still degraded after the chaos run: {res:?}"
     );
-    ensure!(
-        !chaos.flag("resilience.degraded")?,
-        "engine still degraded after the chaos run: {res}"
-    );
-    let max = chaos.num("latency_us.max")?;
+    let max = chaos.latency_us.max;
     ensure!(
         max <= CHAOS_MAX_LATENCY_US,
         "a request blocked {max}us past its deadline"
     );
     fault_free("baseline", base)?;
     fault_free("rerun", rerun)?;
-    let (b, r) = (base.uint("scores_crc")?, rerun.uint("scores_crc")?);
+    let (b, r) = (base.scores_crc, rerun.scores_crc);
     ensure!(
         b == r,
         "fault-free rerun CRC {r} != baseline {b} — the resilience layer changed scores"
     );
     Ok(format!(
-        "chaos ok: {answered}/{requests} answered, errors {errors}, panics {panics}, \
-         respawns {respawns}; fault-free CRC identical ({b})"
+        "chaos ok: {}/{requests} answered, errors {:?}, panics {}, respawns {}; \
+         fault-free CRC identical ({b})",
+        res.answered, res.errors, res.scorer_panics, res.respawns
     ))
 }

@@ -115,13 +115,11 @@ pub fn trace_enabled() -> bool {
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = match std::env::var("IST_TRACE") {
-        Ok(path) if !path.trim().is_empty() => {
-            lock_tolerant(shared()).path = Some(path.trim().to_string());
-            true
-        }
-        _ => false,
-    };
+    let path = crate::env::value("IST_TRACE");
+    let on = path.is_some();
+    if on {
+        lock_tolerant(shared()).path = path;
+    }
     TRACE_STATE.store(if on { TRACE_ON } else { TRACE_OFF }, Ordering::Relaxed);
     on
 }

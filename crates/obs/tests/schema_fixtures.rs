@@ -4,6 +4,7 @@
 //! each broken file differs from a good one by one defect.
 
 use ist_obs::schema::{soak_final, soak_health, soak_step, validate, SERVE_REQUESTS};
+use ist_obs::schema::{Exemplar, Field, Json, ServeReport, Show};
 
 /// `<kind> <fixture>… => <expected error>`; no `=>` means the kind must
 /// accept the files.
@@ -43,6 +44,13 @@ fn fixture(rel: &str) -> String {
     format!("{}/tests/fixtures/{rel}", env!("CARGO_MANIFEST_DIR"))
 }
 
+/// Writes `text` to a scratch file named after `name`; returns its path.
+fn scratch(name: &str, text: &str) -> String {
+    let path = std::env::temp_dir().join(format!("ist-obs-fixture-{}-{name}", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
 /// An access-log fixture padded to [`SERVE_REQUESTS`] lines with filler
 /// requests numbered from 1 000 000, as the `access-log` kind checks the
 /// soak's request count before the lines themselves.
@@ -51,42 +59,37 @@ fn padded_access_log(rel: &str) -> String {
     let n = text.lines().count() as u64;
     for req in 1_000_000..1_000_000 + SERVE_REQUESTS - n {
         text += &format!(
-            "{{\"req\":{req},\"outcome\":\"ok\",\"cache_hit\":false,\"batch\":2,\"total_us\":500,\
+            "{{\"req\":{req},\"outcome\":\"ok\",\"degraded\":false,\"hist\":4,\"k\":10,\
+             \"cache_hit\":false,\"batch\":2,\"total_us\":500,\
              \"queue_us\":40,\"batch_us\":200,\"cache_us\":1,\"encode_us\":200,\"score_us\":4,\
              \"merge_us\":10,\"reply_us\":30}}\n"
         );
     }
-    let path = std::env::temp_dir().join(format!(
-        "ist-obs-fixture-{}-{}",
-        std::process::id(),
-        rel.replace('/', "-")
-    ));
-    std::fs::write(&path, text).unwrap();
-    path.to_string_lossy().into_owned()
+    scratch(&rel.replace('/', "-"), &text)
+}
+
+/// Runs `case`, its files mapped to paths by `file(kind, fixture)`.
+fn check(case: &str, file: impl Fn(&str, &str) -> String) {
+    let (args, want) = case
+        .split_once(" => ")
+        .map_or((case, None), |(a, w)| (a, Some(w)));
+    let mut args = args.split(' ');
+    let kind = args.next().unwrap();
+    let files: Vec<String> = args.map(|f| file(kind, f)).collect();
+    match (validate(kind, &files), want) {
+        (Ok(_), None) => {}
+        (Err(e), Some(want)) if e.contains(want) => {}
+        (got, _) => panic!("{case}: got {got:?}"),
+    }
 }
 
 #[test]
 fn every_kind_accepts_its_good_fixtures_and_names_each_defect() {
     for case in CASES {
-        let (args, want) = case
-            .split_once(" => ")
-            .map_or((*case, None), |(a, w)| (a, Some(w)));
-        let mut args = args.split(' ');
-        let kind = args.next().unwrap();
-        let files: Vec<String> = args
-            .map(|f| {
-                if kind == "access-log" {
-                    padded_access_log(f)
-                } else {
-                    fixture(f)
-                }
-            })
-            .collect();
-        match (validate(kind, &files), want) {
-            (Ok(_), None) => {}
-            (Err(e), Some(want)) if e.contains(want) => {}
-            (got, _) => panic!("{case}: got {got:?}"),
-        }
+        check(case, |kind, f| match kind {
+            "access-log" => padded_access_log(f),
+            _ => fixture(f),
+        });
     }
     let short = validate("access-log", &[fixture("access-log/good.jsonl")]);
     assert_eq!(
@@ -142,4 +145,48 @@ fn soak_steps_name_each_defect() {
             "{want}: {got:?}"
         );
     }
+}
+
+/// The report kinds reach the same verdicts on the reports the writer
+/// renders from the report fixtures (all but the one lacking a field,
+/// which does not parse).
+#[test]
+fn rendered_reports_get_the_fixtures_verdicts() {
+    let rendered = |_: &str, rel: &str| {
+        let text = std::fs::read_to_string(fixture(rel)).unwrap();
+        let report = ServeReport::parse(&text).unwrap();
+        scratch(
+            &format!("rendered-{}", rel.replace('/', "-")),
+            &format!("{:#}\n", Show(&report)),
+        )
+    };
+    let report_kinds = ["serve-report", "chaos", "crc"];
+    let cases = CASES.iter().filter(|c| !c.contains("missing_field"));
+    for case in cases.filter(|c| report_kinds.contains(&c.split(' ').next().unwrap())) {
+        check(case, rendered);
+    }
+}
+
+/// The request-record writer gives back each access-log fixture line byte
+/// for byte, and the reader refuses an outcome no request can have.
+#[test]
+fn request_records_render_back_to_the_fixture_lines() {
+    let text = std::fs::read_to_string(fixture("access-log/good.jsonl")).unwrap();
+    for line in text.lines() {
+        let record = Exemplar::read(&Json::parse(line).unwrap(), "").unwrap();
+        assert_eq!(Show(&record).to_string(), line);
+        let bogus = Json::parse(&line.replace("\"ok\"", "\"bogus\"")).unwrap();
+        let err = Exemplar::read(&bogus, "").unwrap_err();
+        assert_eq!(err, "unknown outcome \"bogus\"");
+    }
+}
+
+#[test]
+fn committed_serve_report_validates() {
+    let path = format!(
+        "{}/../../results/serve_report.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let summary = validate("serve-report", &[path]).unwrap();
+    assert_eq!(summary, "report ok: p99=1957us avg_batch=8 hit_rate=0.8265");
 }

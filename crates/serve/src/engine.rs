@@ -27,7 +27,9 @@ use std::time::{Duration, Instant};
 use isrec_core::{snapshot, CheckpointManager, Isrec, IsrecConfig};
 use ist_data::SequentialDataset;
 use ist_nn::Module as _;
+use ist_obs::env::parse_or;
 use ist_obs::reqctx::{self, ReqCtx, Stage};
+use ist_obs::schema::{EngineHealth, Health, Show};
 use ist_tensor::matmul::{matmul_packed, PackedRhs};
 use ist_tensor::pool;
 use ist_tensor::Tensor;
@@ -145,29 +147,24 @@ impl Default for ServeConfig {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    // Warns once per process per variable (see `ist_obs::env`), so a soak
-    // with a typo'd knob doesn't flood stderr from every config read.
-    ist_obs::env::u64_or(name, default)
-}
-
 impl ServeConfig {
     /// Reads `IST_SERVE_BATCH`, `IST_SERVE_BATCH_TIMEOUT_US`,
     /// `IST_SERVE_CACHE`, `IST_SERVE_DEADLINE_MS`, `IST_SERVE_QUEUE`,
     /// and `IST_SERVE_MAX_RESPAWNS`, falling back to the defaults above.
     pub fn from_env() -> Self {
         let d = ServeConfig::default();
-        let deadline_ms = env_u64("IST_SERVE_DEADLINE_MS", 0);
+        let deadline_ms = parse_or("IST_SERVE_DEADLINE_MS", 0);
+        let timeout_us = parse_or(
+            "IST_SERVE_BATCH_TIMEOUT_US",
+            d.batch_timeout.as_micros() as u64,
+        );
         ServeConfig {
-            max_batch: env_u64("IST_SERVE_BATCH", d.max_batch as u64).max(1) as usize,
-            batch_timeout: Duration::from_micros(env_u64(
-                "IST_SERVE_BATCH_TIMEOUT_US",
-                d.batch_timeout.as_micros() as u64,
-            )),
-            cache_entries: env_u64("IST_SERVE_CACHE", d.cache_entries as u64) as usize,
+            max_batch: parse_or("IST_SERVE_BATCH", d.max_batch).max(1),
+            batch_timeout: Duration::from_micros(timeout_us),
+            cache_entries: parse_or("IST_SERVE_CACHE", d.cache_entries),
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
-            queue_cap: env_u64("IST_SERVE_QUEUE", d.queue_cap as u64) as usize,
-            max_respawns: env_u64("IST_SERVE_MAX_RESPAWNS", d.max_respawns as u64) as u32,
+            queue_cap: parse_or("IST_SERVE_QUEUE", d.queue_cap),
+            max_respawns: parse_or("IST_SERVE_MAX_RESPAWNS", d.max_respawns),
             faults: None,
             slo: None,
         }
@@ -683,9 +680,11 @@ impl ScoreEngine {
         // The trace context is born before validation so invalid requests
         // still land in the access log (outcome "invalid"); None when
         // observability is off, which turns every probe below into a
-        // single branch.
-        let start = Instant::now();
+        // single branch. Its clock starts before `start`, from which the
+        // queue wait is measured, so every recorded stage falls inside the
+        // request's total.
         let ctx = ReqCtx::start(history.len(), k);
+        let start = Instant::now();
         let out = self.recommend_inner(history, k, budget, start, &ctx);
         REQUESTS.inc();
         let (outcome, degraded) = match &out {
@@ -845,16 +844,20 @@ fn install_health_provider(shared: &Arc<Shared>) {
     let shared = Arc::clone(shared);
     ist_obs::export::set_health_provider(Box::new(move || {
         let degraded = shared.degraded.load(Ordering::Relaxed);
-        let queue_depth = shared.lock_queue().score_len;
-        let body = format!(
-            "{{\"status\":{:?},\"engine\":{{\"degraded\":{degraded},\"respawns\":{},\
-             \"scorer_panics\":{},\"queue_depth\":{queue_depth},\"slo\":{}}}}}\n",
-            if degraded { "degraded" } else { "ok" },
-            shared.respawns.load(Ordering::Relaxed),
-            shared.scorer_panics.load(Ordering::Relaxed),
-            shared.slo.snapshot().to_json(),
-        );
-        (if degraded { 503 } else { 200 }, body)
+        let health = Health {
+            status: if degraded { "degraded" } else { "ok" }.into(),
+            engine: EngineHealth {
+                degraded,
+                respawns: shared.respawns.load(Ordering::Relaxed),
+                scorer_panics: shared.scorer_panics.load(Ordering::Relaxed),
+                queue_depth: shared.lock_queue().score_len as u64,
+                slo: shared.slo.snapshot(),
+            },
+        };
+        (
+            if degraded { 503 } else { 200 },
+            format!("{}\n", Show(&health)),
+        )
     }));
 }
 

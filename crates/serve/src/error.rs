@@ -83,6 +83,8 @@ mod tests {
         ];
         let kinds: std::collections::BTreeSet<_> = all.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds.len(), all.len(), "kinds must be unique");
+        // The validators read these names back from reports and logs.
+        assert_eq!(kinds, ist_obs::schema::ERROR_KINDS.into_iter().collect());
         for e in &all {
             assert!(!e.to_string().is_empty());
         }

@@ -87,20 +87,12 @@ impl ServeFaultPlan {
     /// chaos gate then fails loudly on a clean report rather than the
     /// engine crashing at startup).
     pub fn from_env() -> ServeFaultPlan {
-        match std::env::var("IST_SERVE_FAULTS") {
-            Err(_) => ServeFaultPlan::default(),
-            Ok(spec) if spec.trim().is_empty() => ServeFaultPlan::default(),
-            Ok(spec) => match ServeFaultPlan::parse(&spec) {
-                Ok(plan) => {
-                    eprintln!("serve fault injection active: {spec}");
-                    plan
-                }
-                Err(e) => {
-                    eprintln!("warning: ignoring IST_SERVE_FAULTS: {e}");
-                    ServeFaultPlan::default()
-                }
-            },
-        }
+        let parse = |spec: &str| {
+            let plan = ServeFaultPlan::parse(spec)?;
+            eprintln!("serve fault injection active: {spec}");
+            Ok(plan)
+        };
+        ist_obs::env::parsed("IST_SERVE_FAULTS", "no faults", parse).unwrap_or_default()
     }
 
     /// True when no faults remain to fire.

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ist_obs::env as obs_env;
+pub use ist_obs::schema::SloSnapshot;
 
 /// Live p99 over the rolling window, microseconds.
 static SLO_P99_US: ist_obs::Gauge = ist_obs::Gauge::new("serve.slo_p99_us");
@@ -62,58 +63,10 @@ impl SloConfig {
     pub fn from_env() -> SloConfig {
         let d = SloConfig::default();
         SloConfig {
-            slo_ms: obs_env::u64_or("IST_SERVE_SLO_MS", d.slo_ms).max(1),
-            err_pct: obs_env::f64_or("IST_SERVE_SLO_ERR_PCT", d.err_pct).max(0.0),
+            slo_ms: obs_env::parse_or("IST_SERVE_SLO_MS", d.slo_ms).max(1),
+            err_pct: obs_env::parse_or("IST_SERVE_SLO_ERR_PCT", d.err_pct).max(0.0),
             window: obs_env::positive_usize_or("IST_SERVE_SLO_WINDOW", d.window),
         }
-    }
-}
-
-/// A point-in-time evaluation of the window against the targets.
-#[derive(Clone, Debug, Default)]
-pub struct SloSnapshot {
-    /// True when the monitor was observing (any observability enabled at
-    /// engine start); a default/dark snapshot reports all zeros.
-    pub active: bool,
-    /// Latency target, milliseconds.
-    pub target_ms: u64,
-    /// Error-rate target, percent.
-    pub target_err_pct: f64,
-    /// Requests currently in the window.
-    pub window: usize,
-    /// Requests observed over the engine's lifetime.
-    pub total_observed: u64,
-    /// p99 latency over the window, microseconds.
-    pub p99_us: u64,
-    /// Error rate over the window, percent.
-    pub error_pct: f64,
-    /// p99 / target (1.0 = exactly on target).
-    pub latency_burn: f64,
-    /// error rate / target rate.
-    pub error_burn: f64,
-    /// True when either burn rate exceeds 1.0.
-    pub breached: bool,
-}
-
-impl SloSnapshot {
-    /// Renders the snapshot as a JSON object (the serve report's `slo`
-    /// block and `/healthz`'s `slo` field share this shape).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"active\":{},\"target_ms\":{},\"target_err_pct\":{:.3},\"window\":{},\
-             \"total_observed\":{},\"p99_us\":{},\"error_pct\":{:.4},\
-             \"latency_burn\":{:.4},\"error_burn\":{:.4},\"breached\":{}}}",
-            self.active,
-            self.target_ms,
-            self.target_err_pct,
-            self.window,
-            self.total_observed,
-            self.p99_us,
-            self.error_pct,
-            self.latency_burn,
-            self.error_burn,
-            self.breached
-        )
     }
 }
 
@@ -185,7 +138,7 @@ fn snapshot_state(state: &SloState) -> SloSnapshot {
         active: state.active.load(Ordering::Relaxed),
         target_ms: cfg.slo_ms,
         target_err_pct: cfg.err_pct,
-        window: n,
+        window: n as u64,
         total_observed: ring.total_observed,
         ..SloSnapshot::default()
     };
@@ -347,13 +300,30 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_well_formed() {
-        let m = mon(SloConfig::default());
-        m.observe(500, true);
-        let json = m.snapshot().to_json();
-        assert!(json.starts_with("{\"active\":true"));
-        assert!(json.contains("\"p99_us\":500"));
-        assert!(json.contains("\"breached\":false"));
-        assert!(json.ends_with('}'));
+    fn snapshot_renders_as_json_even_when_the_error_burn_is_infinite() {
+        use ist_obs::schema::{EngineHealth, Field, Health, Json, Show};
+        let m = mon(SloConfig {
+            err_pct: 0.0,
+            ..SloConfig::default()
+        });
+        m.observe(500, false);
+        let slo = m.snapshot();
+        assert_eq!(slo.error_burn, f64::INFINITY);
+        assert!(slo.breached);
+        let block = Json::parse(&Show(&slo).to_string()).unwrap();
+        assert_eq!(block.flag("active"), Ok(true));
+        assert_eq!(block.get("error_burn"), Some(&Json::Null));
+        assert_eq!(block.uint("p99_us"), Ok(500));
+        let health = Health {
+            engine: EngineHealth {
+                slo,
+                ..EngineHealth::default()
+            },
+            ..Health::default()
+        };
+        let body = Json::parse(&Show(&health).to_string()).unwrap();
+        let back = Health::read(&body, "").unwrap().engine.slo;
+        assert!(back.active && back.breached);
+        assert_eq!(back.error_burn, f64::INFINITY);
     }
 }

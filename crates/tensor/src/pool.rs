@@ -204,19 +204,44 @@ pub fn global() -> &'static ThreadPool {
     })
 }
 
-/// Pool size: `IST_THREADS` override, else `available_parallelism` capped
-/// at 8 (the cap the workspace has always used).
+/// Most workers `IST_THREADS` may ask for; larger values are clamped.
+pub const MAX_THREADS: usize = 256;
+
+/// Pool size: the `IST_THREADS` override, else the detected size,
+/// `available_parallelism` capped at 8 (the cap the workspace has always
+/// used). A malformed override or `0` warns once and takes the detected
+/// size; one above [`MAX_THREADS`] warns once and is clamped.
 pub fn configured_threads() -> usize {
-    match std::env::var("IST_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("IST_THREADS must be a positive integer, got {v:?}"))
-            .max(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
+    let detected = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    let Some(v) = ist_obs::env::value("IST_THREADS") else {
+        return detected;
+    };
+    let (threads, warning) = pool_size(&v, detected);
+    if let Some(warning) = warning {
+        ist_obs::env::warn_once("IST_THREADS", warning);
+    }
+    threads
+}
+
+/// The pool size an `IST_THREADS` value asks for, and the warning when it
+/// is not taken as given. A pure function, so the extreme values are
+/// tested without building a pool.
+fn pool_size(value: &str, detected: usize) -> (usize, Option<String>) {
+    match value.parse::<usize>() {
+        Ok(n @ 1..=MAX_THREADS) => (n, None),
+        Ok(0) | Err(_) => (
+            detected,
+            Some(format!(
+                "ignoring malformed IST_THREADS={value:?} (need a positive integer); \
+                 using the detected {detected}"
+            )),
+        ),
+        Ok(_) => (
+            MAX_THREADS,
+            Some(format!(
+                "IST_THREADS={value} is above the maximum; using {MAX_THREADS}"
+            )),
+        ),
     }
 }
 
@@ -334,6 +359,22 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pool_size_falls_back_or_clamps_without_building_a_pool() {
+        assert_eq!(pool_size("4", 2), (4, None));
+        assert_eq!(pool_size("256", 2), (MAX_THREADS, None));
+        for (value, want) in [("abc", 2), ("0", 2), ("-3", 2), ("257", 256), ("1e9", 2)] {
+            let (n, warning) = pool_size(value, 2);
+            assert_eq!(n, want, "{value}");
+            assert!(
+                warning.is_some_and(|w| w.contains("IST_THREADS")),
+                "{value}"
+            );
+        }
+        let huge = pool_size("18446744073709551615", 2);
+        assert_eq!(huge.0, MAX_THREADS);
+    }
 
     #[test]
     fn run_executes_all_tasks_with_borrows() {

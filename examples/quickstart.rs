@@ -44,7 +44,7 @@ fn main() {
         verbose: true,
         ..Default::default()
     };
-    if let Ok(dir) = std::env::var("IST_CKPT_DIR") {
+    if let Some(dir) = isrec_suite::obs::env::value("IST_CKPT_DIR") {
         train.checkpoint = CheckpointConfig::in_dir(dir);
     }
     let report = model.fit(&dataset, &split, &train);

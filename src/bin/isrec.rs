@@ -50,6 +50,7 @@ use isrec_suite::isrec::{
     explain, snapshot, CheckpointConfig, Isrec, IsrecConfig, SequentialRecommender, TrainConfig,
 };
 use isrec_suite::nn::Module;
+use isrec_suite::obs::schema::{self, ServeReport, Show};
 
 /// Minimal `--flag value` argument parser.
 struct Args {
@@ -494,8 +495,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut fingerprint: Vec<u8> = Vec::new();
     let mut answered = 0u64;
     let mut degraded_answers = 0u64;
-    let mut error_kinds: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
+    let mut error_kinds = std::collections::BTreeMap::new();
     let mut first_error: Option<String> = None;
     for (i, slot) in results.iter().enumerate() {
         let (us, result) = slot.as_ref().expect("every request recorded");
@@ -512,7 +512,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 }
             }
             Err(e) => {
-                *error_kinds.entry(e.kind()).or_insert(0) += 1;
+                *error_kinds.entry(e.kind().to_string()).or_insert(0) += 1;
                 if first_error.is_none() {
                     first_error = Some(format!("request {i}: {e}"));
                 }
@@ -525,198 +525,69 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             return Err(format!("{failed} request(s) failed; first: {e}"));
         }
     }
-    let scores_crc = isrec_suite::isrec::snapshot::crc32(&fingerprint);
-    latencies.sort_unstable();
-    let quantile = |q: f64| -> u64 {
-        let idx = ((q * (latencies.len() - 1) as f64).round()) as usize;
-        latencies[idx.min(latencies.len() - 1)]
-    };
-    let mean_us = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
     let stats = engine.stats();
-
-    println!(
-        "served {total} requests (k={k}) from {clients} clients in {elapsed:.2}s \
-         ({:.0} req/s) — {source_desc}",
-        total as f64 / elapsed
-    );
-    println!(
-        "latency µs: p50 {} / p95 {} / p99 {} / mean {:.0} / max {}",
-        quantile(0.50),
-        quantile(0.95),
-        quantile(0.99),
-        mean_us,
-        latencies.last().copied().unwrap_or(0)
-    );
-    println!(
-        "batches: {} (avg {:.2} req/batch, max {}); cache: {} hits / {} misses ({:.1}% hit rate)",
-        stats.batches,
-        stats.avg_batch(),
-        stats.max_batch,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.hit_rate() * 100.0
-    );
-    println!(
-        "resilience: {answered}/{total} answered ({degraded_answers} degraded), \
-         {failed} failed; shed {} / timed_out {} / panics {} / respawns {} / \
-         reload_skipped {}{}",
-        stats.shed,
-        stats.timed_out,
-        stats.scorer_panics,
-        stats.respawns,
-        stats.reload_skipped,
-        if stats.degraded {
-            " — engine still degraded"
-        } else {
-            ""
-        }
-    );
-    if !error_kinds.is_empty() {
-        let detail: Vec<String> = error_kinds
-            .iter()
-            .map(|(kind, n)| format!("{kind}: {n}"))
-            .collect();
-        println!("typed errors: {}", detail.join(", "));
-    }
-    println!("scores_crc: {scores_crc:#010x}");
-    let slo = engine.slo();
-    if slo.active {
-        println!(
-            "slo: p99 {}µs vs {}ms target (latency burn {:.2}), errors {:.2}% vs {:.2}% \
-             target (error burn {:.2}) — {}",
-            slo.p99_us,
-            slo.target_ms,
-            slo.latency_burn,
-            slo.error_pct,
-            slo.target_err_pct,
-            slo.error_burn,
-            if slo.breached {
-                "BREACHED"
-            } else {
-                "within SLO"
-            }
-        );
-    }
-
+    let report = ServeReport {
+        schema: ServeReport::SCHEMA.into(),
+        dataset: dataset_name,
+        source: source_desc,
+        epoch: stats.epoch,
+        requests: total as u64,
+        clients: clients as u64,
+        k: k as u64,
+        elapsed_s: elapsed,
+        throughput_rps: total as f64 / elapsed,
+        latency_us: schema::Latency::of(&mut latencies),
+        batch: schema::Batches {
+            count: stats.batches,
+            avg: stats.avg_batch(),
+            max: stats.max_batch,
+        },
+        cache: schema::Cache {
+            hits: stats.cache_hits,
+            misses: stats.cache_misses,
+            hit_rate: stats.hit_rate(),
+        },
+        resilience: schema::Resilience {
+            answered,
+            failed,
+            degraded_answers,
+            shed: stats.shed,
+            timed_out: stats.timed_out,
+            scorer_panics: stats.scorer_panics,
+            respawns: stats.respawns,
+            reload_skipped: stats.reload_skipped,
+            degraded: stats.degraded,
+            errors: error_kinds,
+        },
+        config: schema::Config {
+            max_batch: serve_cfg.max_batch as u64,
+            batch_timeout_us: serve_cfg.batch_timeout.as_micros() as u64,
+            cache_entries: serve_cfg.cache_entries as u64,
+            deadline_ms: serve_cfg.deadline.map_or(0, |d| d.as_millis() as u64),
+            queue_cap: serve_cfg.queue_cap as u64,
+            max_respawns: u64::from(serve_cfg.max_respawns),
+        },
+        slo: engine.slo(),
+        exemplars: isrec_suite::obs::reqctx::exemplars(),
+        scores_crc: u64::from(isrec_suite::isrec::snapshot::crc32(&fingerprint)),
+    };
+    print!("{report}");
     if let Some(path) = args.get("report") {
-        let epoch = match stats.epoch {
-            Some(e) => e.to_string(),
-            None => "null".to_string(),
-        };
-        let errors_json = if error_kinds.is_empty() {
-            "{}".to_string()
-        } else {
-            let fields: Vec<String> = error_kinds
-                .iter()
-                .map(|(kind, n)| format!("\"{kind}\": {n}"))
-                .collect();
-            format!("{{{}}}", fields.join(", "))
-        };
-        let exemplars_json = {
-            let exs = isrec_suite::obs::reqctx::exemplars();
-            let rows: Vec<String> = exs
-                .iter()
-                .map(|ex| {
-                    let stages: Vec<String> = isrec_suite::obs::reqctx::STAGE_NAMES
-                        .iter()
-                        .zip(&ex.stage_us)
-                        .map(|(name, us)| format!("\"{name}_us\": {us}"))
-                        .collect();
-                    format!(
-                        "{{\"req\": {}, \"total_us\": {}, \"outcome\": \"{}\", \
-                         \"degraded\": {}, \"hist\": {}, \"k\": {}, \"cache_hit\": {}, \
-                         \"batch\": {}, {}}}",
-                        ex.id,
-                        ex.total_us,
-                        ex.outcome,
-                        ex.degraded,
-                        ex.history_len,
-                        ex.k,
-                        ex.cache_hit,
-                        ex.batch,
-                        stages.join(", ")
-                    )
-                })
-                .collect();
-            format!("[{}]", rows.join(", "))
-        };
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"isrec.serve_report.v5\",\n",
-                "  \"dataset\": \"{dataset}\",\n",
-                "  \"source\": \"{source}\",\n",
-                "  \"epoch\": {epoch},\n",
-                "  \"requests\": {requests},\n",
-                "  \"clients\": {clients},\n",
-                "  \"k\": {k},\n",
-                "  \"elapsed_s\": {elapsed:.3},\n",
-                "  \"throughput_rps\": {rps:.1},\n",
-                "  \"latency_us\": {{\"p50\": {p50}, \"p95\": {p95}, \"p99\": {p99}, \"mean\": {mean:.1}, \"max\": {max}}},\n",
-                "  \"batch\": {{\"count\": {batches}, \"avg\": {avg_batch:.3}, \"max\": {max_batch}}},\n",
-                "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {hit_rate:.4}}},\n",
-                "  \"resilience\": {{\"answered\": {answered}, \"failed\": {failed}, \"degraded_answers\": {degraded_answers}, \"shed\": {shed}, \"timed_out\": {timed_out}, \"scorer_panics\": {panics}, \"respawns\": {respawns}, \"reload_skipped\": {reload_skipped}, \"degraded\": {degraded}, \"errors\": {errors}}},\n",
-                "  \"config\": {{\"max_batch\": {cfg_batch}, \"batch_timeout_us\": {cfg_timeout}, \"cache_entries\": {cfg_cache}, \"deadline_ms\": {cfg_deadline}, \"queue_cap\": {cfg_queue}, \"max_respawns\": {cfg_respawns}}},\n",
-                "  \"slo\": {slo},\n",
-                "  \"exemplars\": {exemplars},\n",
-                "  \"scores_crc\": {crc}\n",
-                "}}\n"
-            ),
-            dataset = dataset_name,
-            source = source_desc,
-            epoch = epoch,
-            requests = total,
-            clients = clients,
-            k = k,
-            elapsed = elapsed,
-            rps = total as f64 / elapsed,
-            p50 = quantile(0.50),
-            p95 = quantile(0.95),
-            p99 = quantile(0.99),
-            mean = mean_us,
-            max = latencies.last().copied().unwrap_or(0),
-            batches = stats.batches,
-            avg_batch = stats.avg_batch(),
-            max_batch = stats.max_batch,
-            hits = stats.cache_hits,
-            misses = stats.cache_misses,
-            hit_rate = stats.hit_rate(),
-            answered = answered,
-            failed = failed,
-            degraded_answers = degraded_answers,
-            shed = stats.shed,
-            timed_out = stats.timed_out,
-            panics = stats.scorer_panics,
-            respawns = stats.respawns,
-            reload_skipped = stats.reload_skipped,
-            degraded = stats.degraded,
-            errors = errors_json,
-            cfg_batch = serve_cfg.max_batch,
-            cfg_timeout = serve_cfg.batch_timeout.as_micros(),
-            cfg_cache = serve_cfg.cache_entries,
-            cfg_deadline = serve_cfg
-                .deadline
-                .map_or(0, |d| d.as_millis() as u64),
-            cfg_queue = serve_cfg.queue_cap,
-            cfg_respawns = serve_cfg.max_respawns,
-            slo = slo.to_json(),
-            exemplars = exemplars_json,
-            crc = scores_crc,
-        );
         if let Some(parent) = PathBuf::from(path).parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
                     .map_err(|e| format!("create report dir {parent:?}: {e}"))?;
             }
         }
-        std::fs::write(path, json).map_err(|e| format!("write report {path}: {e}"))?;
+        std::fs::write(path, format!("{:#}\n", Show(&report)))
+            .map_err(|e| format!("write report {path}: {e}"))?;
         println!("report written to {path}");
     }
     // Exactly one outcome per request: the engine's per-kind counters must
     // match what the callers got, whether or not errors are allowed.
-    let seen = |kind| error_kinds.get(kind).copied().unwrap_or(0);
+    let seen = |kind: &str| report.resilience.errors.get(kind).copied().unwrap_or(0);
     let disagree: Vec<String> = [
-        ("requests", answered, stats.requests),
+        ("requests", report.resilience.answered, stats.requests),
         ("shed", seen("shed"), stats.shed),
         ("timed_out", seen("deadline"), stats.timed_out),
     ]
@@ -776,19 +647,18 @@ fn main() -> ExitCode {
     // a bad IST_METRICS_ADDR only warns (a typo'd env knob should not take
     // a soak down).
     let endpoint = match args.get("metrics-addr") {
-        Some(addr) => Some(isrec_suite::obs::export::start(addr)),
-        None => isrec_suite::obs::export::start_from_env(),
+        Some(addr) => isrec_suite::obs::export::start(addr).map(Some),
+        None => Ok(isrec_suite::obs::export::start_from_env()),
     };
     match endpoint {
-        Some(Ok(bound)) => {
+        Ok(Some(bound)) => {
             eprintln!("metrics endpoint listening on http://{bound} (/metrics, /healthz)");
         }
-        Some(Err(e)) if args.get("metrics-addr").is_some() => {
+        Ok(None) => {}
+        Err(e) => {
             eprintln!("error: --metrics-addr: {e}");
             return ExitCode::FAILURE;
         }
-        Some(Err(e)) => eprintln!("warning: IST_METRICS_ADDR: {e}"),
-        None => {}
     }
     let Some(cmd) = args.positional.first().map(|s| s.as_str()) else {
         eprintln!("{USAGE}");
