@@ -1,10 +1,9 @@
 //! # ist-bench
 //!
-//! Experiment binaries (one per paper table/figure — see DESIGN.md §4) and
-//! the GEMM throughput benchmark and its regression check (`bench_gemm`,
-//! `bench_diff`).
+//! Experiment binaries, one per paper table/figure (see DESIGN.md §4), and
+//! the scaled IntentWorld configurations they share. Throughput is measured
+//! end to end by `bench_e2e`, not here.
 
 #![forbid(unsafe_code)]
 
-pub mod gemm;
 pub mod worlds;

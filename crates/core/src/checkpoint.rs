@@ -158,7 +158,7 @@ impl CheckpointManager {
                     continue;
                 }
             };
-            match snapshot::load_full(params, raw.into()) {
+            match snapshot::load_full(params, raw) {
                 Ok((restored, Some(state))) if restored == params.len() => {
                     return Some((epoch, state));
                 }
@@ -219,7 +219,7 @@ impl CheckpointManager {
                     continue;
                 }
             };
-            match snapshot::load_full(params, raw.into()) {
+            match snapshot::load_full(params, raw) {
                 Ok((restored, _)) if restored == params.len() => {
                     return ValuesLoadReport {
                         epoch: Some(epoch),
@@ -286,7 +286,7 @@ mod tests {
     fn write_epoch(mgr: &mut CheckpointManager, p: &Param, epoch: u64, faults: &mut FaultPlan) {
         let bytes =
             snapshot::save_with_state(std::slice::from_ref(p), Some(&state_for(p, epoch))).unwrap();
-        mgr.save(epoch, bytes.as_ref(), faults).unwrap();
+        mgr.save(epoch, &bytes, faults).unwrap();
     }
 
     #[test]
@@ -341,7 +341,7 @@ mod tests {
         }
         let p3 = param(30.0);
         let bytes = snapshot::save(std::slice::from_ref(&p3)).unwrap();
-        mgr.save(3, bytes.as_ref(), &mut faults).unwrap();
+        mgr.save(3, &bytes, &mut faults).unwrap();
 
         let target = param(0.0);
         let epoch = mgr
@@ -408,8 +408,7 @@ mod tests {
         let mut mgr = CheckpointManager::new(&dir, 3).unwrap();
         let p = param(7.0);
         let bytes = snapshot::save(std::slice::from_ref(&p)).unwrap();
-        mgr.save(0, bytes.as_ref(), &mut FaultPlan::default())
-            .unwrap();
+        mgr.save(0, &bytes, &mut FaultPlan::default()).unwrap();
         assert!(mgr.load_latest(std::slice::from_ref(&p)).is_none());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -26,9 +26,9 @@
 //! have no checksums. They are still loadable (read-only: values only, never
 //! trainer state); [`save`] always writes v2.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ist_autograd::Param;
 use ist_tensor::Tensor;
+use std::collections::HashMap;
 
 /// First bytes of every versioned snapshot.
 pub const MAGIC: [u8; 4] = *b"ISNP";
@@ -84,23 +84,22 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Serialises parameter values to v2 bytes (no trainer state).
-pub fn save(params: &[Param]) -> Result<Bytes, String> {
+pub fn save(params: &[Param]) -> Result<Vec<u8>, String> {
     save_with_state(params, None)
 }
 
 /// Serialises parameters plus, when given, the trainer state block.
 /// Errors if any count/length exceeds its on-disk field width or the state
 /// is not aligned with `params` — never silently truncates.
-pub fn save_with_state(params: &[Param], state: Option<&TrainerState>) -> Result<Bytes, String> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(&MAGIC);
-    buf.put_u32_le(FORMAT_VERSION);
-    buf.put_u8(state.is_some() as u8);
+pub fn save_with_state(params: &[Param], state: Option<&TrainerState>) -> Result<Vec<u8>, String> {
+    let mut buf = MAGIC.to_vec();
+    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    buf.push(state.is_some() as u8);
     let count: u32 = params
         .len()
         .try_into()
         .map_err(|_| format!("{} params exceed the u32 count field", params.len()))?;
-    buf.put_u32_le(count);
+    buf.extend_from_slice(&count.to_le_bytes());
     for p in params {
         put_record(&mut buf, &p.name(), &p.value())?;
     }
@@ -113,16 +112,16 @@ pub fn save_with_state(params: &[Param], state: Option<&TrainerState>) -> Result
                 params.len()
             ));
         }
-        buf.put_u64_le(s.epoch);
+        buf.extend_from_slice(&s.epoch.to_le_bytes());
         for w in s.rng_state {
-            buf.put_u64_le(w);
+            buf.extend_from_slice(&w.to_le_bytes());
         }
-        buf.put_f32_le(s.lr);
-        buf.put_u64_le(s.adam_t);
+        buf.extend_from_slice(&s.lr.to_le_bytes());
+        buf.extend_from_slice(&s.adam_t.to_le_bytes());
         let n: u32 = (2 * params.len())
             .try_into()
             .map_err(|_| "moment count exceeds u32".to_string())?;
-        buf.put_u32_le(n);
+        buf.extend_from_slice(&n.to_le_bytes());
         for (p, m) in params.iter().zip(&s.adam_m) {
             put_record(&mut buf, &format!("m:{}", p.name()), m)?;
         }
@@ -130,16 +129,15 @@ pub fn save_with_state(params: &[Param], state: Option<&TrainerState>) -> Result
             put_record(&mut buf, &format!("v:{}", p.name()), v)?;
         }
     }
-    let mut out = buf.freeze().to_vec();
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(Bytes::from(out))
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    Ok(buf)
 }
 
 /// Restores parameter values by name (either format). Parameters present in
 /// `params` but missing from the snapshot are left untouched; shape
 /// mismatches and any checksum failure error out.
-pub fn load(params: &[Param], bytes: Bytes) -> Result<usize, String> {
+pub fn load(params: &[Param], bytes: Vec<u8>) -> Result<usize, String> {
     load_full(params, bytes).map(|(restored, _)| restored)
 }
 
@@ -149,42 +147,59 @@ pub fn load(params: &[Param], bytes: Bytes) -> Result<usize, String> {
 /// Nothing is applied to `params` until the entire snapshot — checksums,
 /// shapes, and state alignment — has validated, so a rejected snapshot
 /// leaves the model untouched.
-pub fn load_full(params: &[Param], bytes: Bytes) -> Result<(usize, Option<TrainerState>), String> {
-    let raw: &[u8] = bytes.as_ref();
-    if raw.len() >= MAGIC.len() && raw[..MAGIC.len()] == MAGIC {
-        load_v2(params, raw)
+pub fn load_full(
+    params: &[Param],
+    bytes: Vec<u8>,
+) -> Result<(usize, Option<TrainerState>), String> {
+    let (records, state) = if bytes.starts_with(&MAGIC) {
+        parse_v2(&bytes)?
     } else {
-        load_legacy(params, bytes).map(|restored| (restored, None))
-    }
+        // A legacy file is `u32 count | records`, each a v2 record without
+        // its checksum.
+        (Reader::new(&bytes).records("snapshot header", false)?, None)
+    };
+    apply(params, records, state)
 }
 
 /// Writes one `name | rank | dims | data` record plus its CRC32.
-fn put_record(buf: &mut BytesMut, name: &str, value: &Tensor) -> Result<(), String> {
-    let mut rec = BytesMut::new();
+fn put_record(buf: &mut Vec<u8>, name: &str, value: &Tensor) -> Result<(), String> {
+    let start = buf.len();
     let name_len: u16 = name
         .len()
         .try_into()
         .map_err(|_| format!("param name `{:.40}…` exceeds {} bytes", name, u16::MAX))?;
-    rec.put_u16_le(name_len);
-    rec.put_slice(name.as_bytes());
+    buf.extend_from_slice(&name_len.to_le_bytes());
+    buf.extend_from_slice(name.as_bytes());
     let rank: u8 = value
         .rank()
         .try_into()
         .map_err(|_| format!("rank {} of {name} exceeds u8", value.rank()))?;
-    rec.put_u8(rank);
+    buf.push(rank);
     for &d in value.shape() {
         let dim: u32 = d
             .try_into()
             .map_err(|_| format!("dimension {d} of {name} exceeds u32"))?;
-        rec.put_u32_le(dim);
+        buf.extend_from_slice(&dim.to_le_bytes());
     }
+    buf.reserve(4 * value.data().len() + 4);
     for &v in value.data() {
-        rec.put_f32_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    let crc = crc32(rec.as_ref());
-    buf.put_slice(rec.as_ref());
-    buf.put_u32_le(crc);
+    let crc = crc32(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
     Ok(())
+}
+
+/// One parsed record: `(name, shape, data)`.
+type Record = (String, Vec<usize>, Vec<f32>);
+
+/// A parsed trainer-state block whose moments are not yet matched to params.
+struct StateBlock {
+    epoch: u64,
+    rng_state: [u64; 4],
+    lr: f32,
+    adam_t: u64,
+    moments: Vec<Record>,
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -194,6 +209,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
         if self.buf.len() - self.pos < n {
             return Err(format!("truncated {what}"));
@@ -227,50 +246,60 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    /// Upper bound on how many records the unread bytes can hold: a count
-    /// read from the file must not size an allocation beyond that.
-    fn max_records(&self) -> usize {
-        (self.buf.len() - self.pos) / MIN_RECORD_BYTES
+    /// Reads a `u32` count, then that many records, each followed by its
+    /// CRC32 when `checked`. The count never sizes an allocation beyond
+    /// what the unread bytes can hold.
+    fn records(&mut self, what: &str, checked: bool) -> Result<Vec<Record>, String> {
+        let count = self.u32(what)? as usize;
+        // Smallest record: name length (2), rank (1), checksum (4).
+        let min_record = if checked { 7 } else { 3 };
+        let mut records = Vec::with_capacity(count.min((self.buf.len() - self.pos) / min_record));
+        for _ in 0..count {
+            records.push(self.record(checked)?);
+        }
+        Ok(records)
+    }
+
+    /// Reads one record and, when `checked`, verifies its own CRC.
+    fn record(&mut self, checked: bool) -> Result<Record, String> {
+        let start = self.pos;
+        let name_len = self.u16("name length")? as usize;
+        let name = String::from_utf8(self.take(name_len, "name")?.to_vec())
+            .map_err(|e| format!("bad name: {e}"))?;
+        let rank = self.u8("rank")? as usize;
+        let mut shape = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            shape.push(self.u32("shape")? as usize);
+        }
+        let len = shape
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| format!("shape {shape:?} of {name} overflows element count"))?;
+        let byte_len = len
+            .checked_mul(4)
+            .ok_or_else(|| format!("data size of {name} overflows"))?;
+        let data: Vec<f32> = self
+            .take(byte_len, "data")?
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        if checked {
+            let end = self.pos;
+            let stored_crc = self.u32("record checksum")?;
+            let actual_crc = crc32(&self.buf[start..end]);
+            if stored_crc != actual_crc {
+                return Err(format!(
+                    "checksum mismatch in record `{name}` (stored {stored_crc:08x}, computed {actual_crc:08x})"
+                ));
+            }
+        }
+        Ok((name, shape, data))
     }
 }
 
-/// Smallest possible record: name length (2), rank (1) and checksum (4).
-const MIN_RECORD_BYTES: usize = 7;
-
-/// Reads one record, verifying its own CRC. Returns `(name, shape, data)`.
-fn get_record(r: &mut Reader) -> Result<(String, Vec<usize>, Vec<f32>), String> {
-    let start = r.pos;
-    let name_len = r.u16("name length")? as usize;
-    let name = String::from_utf8(r.take(name_len, "name")?.to_vec())
-        .map_err(|e| format!("bad name: {e}"))?;
-    let rank = r.u8("rank")? as usize;
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(r.u32("shape")? as usize);
-    }
-    let len = shape
-        .iter()
-        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-        .ok_or_else(|| format!("shape {shape:?} of {name} overflows element count"))?;
-    let byte_len = len
-        .checked_mul(4)
-        .ok_or_else(|| format!("data size of {name} overflows"))?;
-    let data_bytes = r.take(byte_len, "data")?;
-    let data: Vec<f32> = data_bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let stored_crc = r.u32("record checksum")?;
-    let actual_crc = crc32(&r.buf[start..r.pos - 4]);
-    if stored_crc != actual_crc {
-        return Err(format!(
-            "checksum mismatch in record `{name}` (stored {stored_crc:08x}, computed {actual_crc:08x})"
-        ));
-    }
-    Ok((name, shape, data))
-}
-
-fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>), String> {
+/// Checks a v2 snapshot's whole-file CRC and header, then reads its records
+/// and trainer-state block.
+fn parse_v2(raw: &[u8]) -> Result<(Vec<Record>, Option<StateBlock>), String> {
     // Whole-file integrity first: nothing is parsed, let alone applied,
     // from a torn or bit-flipped snapshot.
     if raw.len() < MAGIC.len() + 4 + 1 + 4 + 4 {
@@ -285,10 +314,7 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
         ));
     }
 
-    let mut r = Reader {
-        buf: &body[MAGIC.len()..],
-        pos: 0,
-    };
+    let mut r = Reader::new(&body[MAGIC.len()..]);
     let version = r.u32("version")?;
     if version != FORMAT_VERSION {
         return Err(format!(
@@ -300,38 +326,37 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
         1 => true,
         other => return Err(format!("bad state flag {other}")),
     };
-    let count = r.u32("param count")? as usize;
-    let mut records = Vec::with_capacity(count.min(r.max_records()));
-    for _ in 0..count {
-        records.push(get_record(&mut r)?);
-    }
-
+    let records = r.records("param count", true)?;
     let state = if has_state {
         let epoch = r.u64("epoch")?;
         let mut rng_state = [0u64; 4];
         for w in &mut rng_state {
             *w = r.u64("rng state")?;
         }
-        let lr = r.f32("learning rate")?;
-        let adam_t = r.u64("adam step")?;
-        let n = r.u32("moment count")? as usize;
-        let mut moments: std::collections::HashMap<String, (Vec<usize>, Vec<f32>)> =
-            std::collections::HashMap::with_capacity(n.min(r.max_records()));
-        for _ in 0..n {
-            let (name, shape, data) = get_record(&mut r)?;
-            moments.insert(name, (shape, data));
-        }
-        Some((epoch, rng_state, lr, adam_t, moments))
+        Some(StateBlock {
+            epoch,
+            rng_state,
+            lr: r.f32("learning rate")?,
+            adam_t: r.u64("adam step")?,
+            moments: r.records("moment count", true)?,
+        })
     } else {
         None
     };
     if !r.done() {
         return Err("trailing bytes after snapshot body".into());
     }
+    Ok((records, state))
+}
 
-    // Validate everything against the model before mutating anything.
-    let by_name: std::collections::HashMap<String, &Param> =
-        params.iter().map(|p| (p.name(), p)).collect();
+/// Validates parsed records (and trainer state) against the model, then —
+/// only if everything matches — writes the values into `params`.
+fn apply(
+    params: &[Param],
+    records: Vec<Record>,
+    state: Option<StateBlock>,
+) -> Result<(usize, Option<TrainerState>), String> {
+    let by_name: HashMap<String, &Param> = params.iter().map(|p| (p.name(), p)).collect();
     for (name, shape, _) in &records {
         if let Some(p) = by_name.get(name) {
             if &p.shape() != shape {
@@ -345,7 +370,12 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
     }
     let state = match state {
         None => None,
-        Some((epoch, rng_state, lr, adam_t, mut moments)) => {
+        Some(block) => {
+            let mut moments: HashMap<String, (Vec<usize>, Vec<f32>)> = block
+                .moments
+                .into_iter()
+                .map(|(name, shape, data)| (name, (shape, data)))
+                .collect();
             let mut adam_m = Vec::with_capacity(params.len());
             let mut adam_v = Vec::with_capacity(params.len());
             for p in params {
@@ -365,10 +395,10 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
                 }
             }
             Some(TrainerState {
-                epoch,
-                rng_state,
-                lr,
-                adam_t,
+                epoch: block.epoch,
+                rng_state: block.rng_state,
+                lr: block.lr,
+                adam_t: block.adam_t,
                 adam_m,
                 adam_v,
             })
@@ -385,86 +415,27 @@ fn load_v2(params: &[Param], raw: &[u8]) -> Result<(usize, Option<TrainerState>)
     Ok((restored, state))
 }
 
-/// The pre-versioning loader: `u32 count` then bare records, no checksums.
-/// Like [`load_v2`] it parses and validates every record before applying
-/// any, so even a snapshot that fails half-way leaves the model untouched.
-fn load_legacy(params: &[Param], mut bytes: Bytes) -> Result<usize, String> {
-    if bytes.remaining() < 4 {
-        return Err("truncated snapshot header".into());
-    }
-    let count = bytes.get_u32_le() as usize;
-    let by_name: std::collections::HashMap<String, &Param> =
-        params.iter().map(|p| (p.name(), p)).collect();
-    let mut records = Vec::new();
-    for _ in 0..count {
-        if bytes.remaining() < 2 {
-            return Err("truncated name length".into());
-        }
-        let name_len = bytes.get_u16_le() as usize;
-        if bytes.remaining() < name_len + 1 {
-            return Err("truncated name".into());
-        }
-        let name = String::from_utf8(bytes.copy_to_bytes(name_len).to_vec())
-            .map_err(|e| format!("bad name: {e}"))?;
-        let rank = bytes.get_u8() as usize;
-        if bytes.remaining() < rank * 4 {
-            return Err("truncated shape".into());
-        }
-        let shape: Vec<usize> = (0..rank).map(|_| bytes.get_u32_le() as usize).collect();
-        let len = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or_else(|| format!("shape {shape:?} of {name} overflows element count"))?;
-        let byte_len = len
-            .checked_mul(4)
-            .ok_or_else(|| format!("data size of {name} overflows"))?;
-        if bytes.remaining() < byte_len {
-            return Err(format!("truncated data for {name}"));
-        }
-        let data: Vec<f32> = (0..len).map(|_| bytes.get_f32_le()).collect();
-        if let Some(p) = by_name.get(&name) {
-            if p.shape() != shape {
-                return Err(format!(
-                    "shape mismatch for {name}: snapshot {:?} vs model {:?}",
-                    shape,
-                    p.shape()
-                ));
-            }
-        }
-        records.push((name, shape, data));
-    }
-    let mut restored = 0usize;
-    for (name, shape, data) in records {
-        if let Some(p) = by_name.get(&name) {
-            p.set_value(Tensor::from_vec(data, &shape));
-            restored += 1;
-        }
-    }
-    Ok(restored)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Writes params in the legacy headerless layout (the old `save`).
-    fn save_legacy(params: &[Param]) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(params.len() as u32);
+    fn save_legacy(params: &[Param]) -> Vec<u8> {
+        let mut buf = (params.len() as u32).to_le_bytes().to_vec();
         for p in params {
             let name = p.name();
             let value = p.value();
-            buf.put_u16_le(name.len() as u16);
-            buf.put_slice(name.as_bytes());
-            buf.put_u8(value.rank() as u8);
+            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
+            buf.push(value.rank() as u8);
             for &d in value.shape() {
-                buf.put_u32_le(d as u32);
+                buf.extend_from_slice(&(d as u32).to_le_bytes());
             }
             for &v in value.data() {
-                buf.put_f32_le(v);
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     fn toy_state(params: &[Param]) -> TrainerState {
@@ -544,9 +515,9 @@ mod tests {
     #[test]
     fn truncated_snapshot_errors() {
         let a = Param::new("a", Tensor::ones(&[8]));
-        let snap = save(&[a]).unwrap();
-        let cut = snap.slice(0..snap.len() - 4);
-        assert!(load(&[Param::new("a", Tensor::zeros(&[8]))], cut).is_err());
+        let mut snap = save(&[a]).unwrap();
+        snap.truncate(snap.len() - 4);
+        assert!(load(&[Param::new("a", Tensor::zeros(&[8]))], snap).is_err());
     }
 
     /// A 17-byte snapshot whose record count is `u32::MAX`, behind a valid
@@ -562,7 +533,7 @@ mod tests {
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
         let a = Param::new("a", Tensor::zeros(&[2]));
-        let err = load_full(&[a], Bytes::from(body)).unwrap_err();
+        let err = load_full(&[a], body).unwrap_err();
         assert!(err.contains("truncated"), "{err}");
     }
 
@@ -575,6 +546,36 @@ mod tests {
         assert_eq!(restored, 1);
         assert!(state.is_none(), "legacy snapshots carry no trainer state");
         assert_eq!(a2.value().data(), &[9.0, 8.0]);
+    }
+
+    /// Every proper prefix of a legacy file, and a legacy header claiming
+    /// `u32::MAX` records, is rejected without panicking or touching the
+    /// model.
+    #[test]
+    fn truncated_legacy_snapshot_errors_and_leaves_params_untouched() {
+        let a = Param::new("a", Tensor::from_vec(vec![9.0, 8.0], &[2]));
+        let b = Param::new("b", Tensor::from_vec(vec![7.0; 6], &[2, 3]));
+        let legacy = save_legacy(&[a, b]);
+        let fresh = || {
+            [
+                Param::new("a", Tensor::zeros(&[2])),
+                Param::new("b", Tensor::zeros(&[2, 3])),
+            ]
+        };
+        let mut huge = u32::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(&legacy[4..]);
+        let inputs = (0..legacy.len())
+            .map(|n| legacy[..n].to_vec())
+            .chain([huge]);
+        for input in inputs {
+            let len = input.len();
+            let targets = fresh();
+            let err = load_full(&targets, input).unwrap_err();
+            assert!(err.contains("truncated"), "{len} bytes: {err}");
+            for t in &targets {
+                assert!(t.value().data().iter().all(|&v| v == 0.0), "{len} bytes");
+            }
+        }
     }
 
     #[test]
@@ -595,11 +596,46 @@ mod tests {
             corrupt[i] ^= 0x20;
             let target = Param::new("a", Tensor::zeros(&[3]));
             assert!(
-                load_full(std::slice::from_ref(&target), Bytes::from(corrupt)).is_err(),
+                load_full(std::slice::from_ref(&target), corrupt).is_err(),
                 "flip at byte {i}/{} went undetected",
                 clean.len()
             );
         }
+    }
+
+    /// The on-disk bytes of a seeded model's checkpoint, trainer state
+    /// included, are pinned by their CRC: a change to the writer that moves
+    /// a single byte fails here.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        use crate::{Isrec, IsrecConfig};
+        use ist_data::{IntentWorld, WorldConfig};
+        use ist_nn::Module;
+
+        let ds = IntentWorld::new(WorldConfig::beauty_like().scaled(0.15)).generate(11);
+        let cfg = IsrecConfig {
+            d: 16,
+            d_prime: 4,
+            lambda: 4,
+            max_len: 10,
+            layers: 1,
+            ..Default::default()
+        };
+        let params = Isrec::new(&ds, cfg, 7).params();
+        let moment = |p: &Param, f: fn(f32) -> f32| {
+            let v = p.value();
+            Tensor::from_vec(v.data().iter().map(|&x| f(x)).collect(), v.shape())
+        };
+        let state = TrainerState {
+            epoch: 3,
+            rng_state: [11, 22, 33, 44],
+            lr: 1e-3,
+            adam_t: 150,
+            adam_m: params.iter().map(|p| moment(p, |x| 0.5 * x)).collect(),
+            adam_v: params.iter().map(|p| moment(p, |x| x * x)).collect(),
+        };
+        let snap = save_with_state(&params, Some(&state)).unwrap();
+        assert_eq!((snap.len(), crc32(&snap)), (164_541, 558_161_692));
     }
 
     #[test]

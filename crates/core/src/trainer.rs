@@ -261,7 +261,7 @@ where
                     adam_v: adam.v,
                 };
                 let written = snapshot::save_with_state(&params, Some(&state))
-                    .and_then(|bytes| mgr.save(epoch as u64, bytes.as_ref(), &mut faults));
+                    .and_then(|bytes| mgr.save(epoch as u64, &bytes, &mut faults));
                 match written {
                     Ok(path) => report.checkpoints.push(path),
                     Err(e) => eprintln!("warning: checkpoint at epoch {epoch} failed: {e}"),

@@ -238,7 +238,7 @@ proptest! {
         let pos = pos_salt % raw.len();
         raw[pos] ^= mask as u8;
         let target = Param::new("w", Tensor::zeros(&[3, 4]));
-        let result = snapshot::load(std::slice::from_ref(&target), raw.into());
+        let result = snapshot::load(std::slice::from_ref(&target), raw);
         prop_assert!(result.is_err(), "corruption at byte {} (mask {:#04x}) was accepted", pos, mask);
         // And the rejected snapshot must not have touched the model.
         prop_assert!(target.value().data().iter().all(|&v| v == 0.0));

@@ -496,7 +496,9 @@ impl Histogram {
 // Span (event-emitting RAII scope)
 // ---------------------------------------------------------------------------
 
-/// One JSON field value carried by a [`Span`].
+/// One JSON field value carried by a [`Span`] or a timer row. Its
+/// `Display` is its JSON, written by the documents' writers
+/// ([`schema::Field`]): an `f64` in its shortest round-trip form.
 #[derive(Clone, Debug)]
 pub enum Field {
     /// Unsigned integer.
@@ -505,6 +507,17 @@ pub enum Field {
     F64(f64),
     /// String (JSON-escaped on emission).
     Str(String),
+}
+
+impl std::fmt::Display for Field {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use schema::Field as _;
+        match self {
+            Field::U64(v) => v.write(f),
+            Field::F64(v) => v.write(f),
+            Field::Str(s) => s.write(f),
+        }
+    }
 }
 
 impl From<u64> for Field {
@@ -617,7 +630,9 @@ impl Drop for Span {
                 json_string(inner.name),
                 ns / 1_000
             );
-            push_json_fields(&mut line, &inner.fields);
+            for (key, value) in &inner.fields {
+                line.push_str(&format!(",{}:{value}", json_string(key)));
+            }
             line.push('}');
             emit_line(&line);
         }
@@ -633,22 +648,6 @@ pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     let _ = schema::write_string(&mut out, s);
     out
-}
-
-fn json_value(f: &Field) -> String {
-    match f {
-        Field::U64(v) => v.to_string(),
-        Field::F64(v) if v.is_finite() => format!("{v:.6}"),
-        Field::F64(_) => "null".to_string(),
-        Field::Str(s) => json_string(s),
-    }
-}
-
-/// Appends `,"key":value` per field to an open JSON object.
-fn push_json_fields(line: &mut String, fields: &[(&'static str, Field)]) {
-    for (key, value) in fields {
-        line.push_str(&format!(",{}:{}", json_string(key), json_value(value)));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -795,7 +794,9 @@ impl Snapshot {
             if let Some(rate) = t.rate_per_s() {
                 line.push_str(&format!(",\"rate_per_s\":{rate:.1}"));
             }
-            push_json_fields(&mut line, &t.fields);
+            for (key, value) in &t.fields {
+                line.push_str(&format!(",{}:{value}", json_string(key)));
+            }
             line.push('}');
             out.push(line);
         }
@@ -841,7 +842,7 @@ impl Snapshot {
                     t.name, t.count
                 ));
                 for (key, value) in &t.fields {
-                    out.push_str(&format!(" {key}={}", json_value(value)));
+                    out.push_str(&format!(" {key}={value}"));
                 }
                 out.push('\n');
             }
@@ -932,8 +933,9 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// [`snapshot`] as JSON object strings, one per row — for embedding in
-/// bespoke reports (the bench binaries' `BENCH_*.json`).
+/// [`snapshot`] as JSON object strings, one per row — for a program that
+/// reads the registry in-process (`bench_e2e` builds its layer metrics
+/// from them).
 pub fn snapshot_json() -> Vec<String> {
     snapshot().to_json_lines()
 }
@@ -1097,9 +1099,26 @@ mod tests {
             .expect("span line emitted");
         assert!(span_line.starts_with("{\"span\":\"test.span\",\"elapsed_us\":"));
         assert!(span_line.contains("\"epoch\":3"));
-        assert!(span_line.contains("\"loss\":1.250000"));
+        assert!(span_line.contains("\"loss\":1.25,"));
         assert!(span_line.contains("\\\"name\\\"\\n"), "{span_line}");
         assert!(span_line.ends_with('}'));
+    }
+
+    /// A span's `f64` field is written in its shortest round-trip form, so
+    /// the value read back is the value recorded, bit for bit.
+    #[test]
+    fn span_f64_fields_round_trip_bitwise() {
+        let _guard = mode_lock();
+        set_mode(Mode::Json);
+        let buf = SharedBuf::default();
+        set_output(Box::new(buf.clone()));
+        let x: f64 = 0.1 + 0.2;
+        drop(Span::enter("test.round_trip").field("x", x));
+        set_mode(Mode::Off);
+        let text = buf.contents();
+        let line = text.lines().find(|l| l.contains("test.round_trip"));
+        let doc = schema::Json::parse(line.expect("span line emitted")).unwrap();
+        assert_eq!(doc.num("x").unwrap().to_bits(), x.to_bits(), "{text}");
     }
 
     #[test]
@@ -1234,7 +1253,7 @@ mod tests {
         assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
         assert_eq!(json_string("a\\b"), "\"a\\\\b\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_value(&Field::F64(f64::NAN)), "null");
-        assert_eq!(json_value(&Field::U64(7)), "7");
+        assert_eq!(Field::F64(f64::NAN).to_string(), "null");
+        assert_eq!(Field::U64(7).to_string(), "7");
     }
 }

@@ -1076,7 +1076,7 @@ fn load_weights(
     match source {
         ModelSource::Snapshot(path) => {
             let bytes = std::fs::read(path).map_err(|e| format!("read snapshot {path:?}: {e}"))?;
-            let (restored, _) = snapshot::load_full(&params, bytes.into())?;
+            let (restored, _) = snapshot::load_full(&params, bytes)?;
             if restored != params.len() {
                 return Err(format!(
                     "snapshot {path:?} restored {restored}/{} params — wrong file or config?",

@@ -265,7 +265,7 @@ fn hot_reload_races_concurrent_recommends_without_deadlock() {
     let mut mgr = CheckpointManager::new(&ckpt_dir, 10).unwrap();
     mgr.save(
         0,
-        snapshot::save(&old.params()).unwrap().as_ref(),
+        &snapshot::save(&old.params()).unwrap(),
         &mut FaultPlan::default(),
     )
     .unwrap();
@@ -297,7 +297,7 @@ fn hot_reload_races_concurrent_recommends_without_deadlock() {
         let newer = Isrec::new(&ds, tiny_config(), 99);
         mgr.save(
             2,
-            snapshot::save(&newer.params()).unwrap().as_ref(),
+            &snapshot::save(&newer.params()).unwrap(),
             &mut FaultPlan::default(),
         )
         .unwrap();

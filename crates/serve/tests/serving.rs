@@ -202,7 +202,7 @@ fn hot_reload_skips_corrupt_newer_and_applies_valid_newer() {
     let mut mgr = CheckpointManager::new(&ckpt_dir, 10).unwrap();
     mgr.save(
         0,
-        snapshot::save(&model.params()).unwrap().as_ref(),
+        &snapshot::save(&model.params()).unwrap(),
         &mut FaultPlan::default(),
     )
     .unwrap();
@@ -235,7 +235,7 @@ fn hot_reload_skips_corrupt_newer_and_applies_valid_newer() {
     let newer = Isrec::new(&ds, tiny_config(), 99);
     mgr.save(
         2,
-        snapshot::save(&newer.params()).unwrap().as_ref(),
+        &snapshot::save(&newer.params()).unwrap(),
         &mut FaultPlan::default(),
     )
     .unwrap();

@@ -78,8 +78,8 @@ pub fn pack_counters() -> (u64, u64) {
 
 /// Reference serial `i-k-j` GEMM kernel: `out[m×n] += a[m×k] · b[k×n]`.
 ///
-/// Unblocked; kept for correctness comparisons and as the baseline side of
-/// the `bench_gemm` binary.
+/// Unblocked; the reference that the `simd_equivalence` and
+/// `gemm_edge_cases` tests compare the blocked kernels against.
 pub fn gemm_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);

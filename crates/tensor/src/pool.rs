@@ -252,10 +252,8 @@ pub const GEMM_GRAIN: usize = 1 << 18;
 /// Small-GEMM serial cutoff: total multiply-add count below which a
 /// row-split matmul never engages the pool, regardless of thread count.
 /// 2²³ (≈8.4 M, about 200³) is a conservative guess, not a measured
-/// crossover: the host behind BENCH_gemm.json's 128³/256³ rows had one
-/// core, so its multi-thread rows measured oversubscription rather than
-/// fan-out overhead. Short or wide products take `matmul`'s column split
-/// instead and are gated by [`GEMM_GRAIN`] alone.
+/// crossover. Short or wide products take `matmul`'s column split instead
+/// and are gated by [`GEMM_GRAIN`] alone.
 pub const GEMM_SERIAL_CUTOFF: usize = 1 << 23;
 
 /// Elementwise/reduction crossover grain: minimum element count per worker

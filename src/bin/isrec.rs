@@ -227,7 +227,7 @@ fn restore_model(args: &Args, ds: &isrec_suite::data::SequentialDataset) -> Resu
     let model = build_model(ds, args)?;
     let snap_path = PathBuf::from(args.require("snapshot")?);
     let bytes = std::fs::read(&snap_path).map_err(|e| format!("read snapshot: {e}"))?;
-    let restored = snapshot::load(&model.params(), bytes.into())?;
+    let restored = snapshot::load(&model.params(), bytes)?;
     if restored == 0 {
         return Err("snapshot restored 0 parameters — wrong file or config?".into());
     }
