@@ -113,6 +113,11 @@ run_simd() {
     # Products that read a transposed operand in place, scalar: the test
     # sweeps the levels itself, and this pins the process's starting level.
     IST_SIMD=scalar cargo test -q --release --locked -p ist-tensor --test transposed_operands
+    # Products split by rows below the old serial cutoff or by depth, and
+    # the pooled broadcast arithmetic and reductions, scalar: each test
+    # also sweeps the levels (and, for broadcasts, pools of 1, 2, 4).
+    IST_SIMD=scalar cargo test -q --release --locked -p ist-tensor --test split_products
+    IST_SIMD=scalar cargo test -q --release --locked -p ist-tensor --test broadcast_ops
 
     # Quickstart losses: forcing IST_SIMD=scalar must not change a bit
     # against the auto-detected best level, and the best level must stay
@@ -297,6 +302,7 @@ run_serve() {
     wait "$soak_pid"
     cat "$work/soak.out"
     validate serve-report "$work/report_main.json"
+    validate soak-report "$work/report_main.json"
     validate access-log "$work/access.jsonl"
     validate serve-metrics "$work/metrics.jsonl"
     local variant reports=()

@@ -24,7 +24,8 @@
 //!
 //! Pre-versioning snapshots start directly with the `u32` param count and
 //! have no checksums. They are still loadable (read-only: values only, never
-//! trainer state); [`save`] always writes v2.
+//! trainer state), and, like v2, must end where their last record does;
+//! [`save`] always writes v2.
 
 use ist_autograd::Param;
 use ist_tensor::Tensor;
@@ -155,8 +156,13 @@ pub fn load_full(
         parse_v2(&bytes)?
     } else {
         // A legacy file is `u32 count | records`, each a v2 record without
-        // its checksum.
-        (Reader::new(&bytes).records("snapshot header", false)?, None)
+        // its checksum, and nothing after them.
+        let mut r = Reader::new(&bytes);
+        let records = r.records("snapshot header", false)?;
+        if !r.done() {
+            return Err("trailing bytes after snapshot body".into());
+        }
+        (records, None)
     };
     apply(params, records, state)
 }
@@ -576,6 +582,24 @@ mod tests {
                 assert!(t.value().data().iter().all(|&v| v == 0.0), "{len} bytes");
             }
         }
+    }
+
+    /// A file that is not v2 is read as legacy, so bytes that are no
+    /// snapshot at all — 4 KiB of zeros reads as a count of 0 — must fail
+    /// on what follows the records, not load as nothing restored.
+    #[test]
+    fn legacy_snapshot_with_trailing_bytes_is_rejected() {
+        let a = Param::new("a", Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let err = load_full(std::slice::from_ref(&a), vec![0u8; 4096]).unwrap_err();
+        assert!(err.contains("trailing bytes"), "{err}");
+        assert_eq!(a.value().data(), &[1.0, 2.0]);
+
+        let src = Param::new("a", Tensor::from_vec(vec![9.0, 8.0], &[2]));
+        let mut legacy = save_legacy(&[src]);
+        legacy.push(0);
+        let err = load_full(std::slice::from_ref(&a), legacy).unwrap_err();
+        assert!(err.contains("trailing bytes"), "{err}");
+        assert_eq!(a.value().data(), &[1.0, 2.0]);
     }
 
     #[test]

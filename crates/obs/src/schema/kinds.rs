@@ -53,7 +53,7 @@ const SOAK_WAITS_S: [u64; 3] = [120, 300, 60];
 const USAGE: &str = "usage: isrec validate <kind> <file>…, kinds: \
      metrics <metrics.jsonl> | trace <trace.json> | attribution <profile.log> | \
      soak <serve.stderr> <report.json> <final-scrape-out> | serve-report <report.json> | \
-     access-log <access.jsonl> | serve-metrics <metrics.jsonl> | \
+     soak-report <report.json> | access-log <access.jsonl> | serve-metrics <metrics.jsonl> | \
      chaos <baseline.json> <chaos.json> <rerun.json> | crc <report.json> <report.json>…";
 
 /// Runs check `kind` over `files`; `Ok` holds a one-line summary.
@@ -67,7 +67,8 @@ pub fn validate(kind: &str, files: &[String]) -> Result<String, String> {
         ("trace", [f]) => trace(&read(f)?),
         ("attribution", [f]) => attribution(&read(f)?),
         ("soak", [err, report, scrape_out]) => soak(err, report, scrape_out),
-        ("serve-report", [f]) => soak_report(&report(f)?),
+        ("serve-report", [f]) => serve_report(&report(f)?),
+        ("soak-report", [f]) => soak_report(&report(f)?),
         ("access-log", [f]) => access(&read(f)?),
         ("serve-metrics", [f]) => serve_metrics(&read(f)?),
         ("chaos", [base, run, rerun]) => chaos(&report(base)?, &report(run)?, &report(rerun)?),
@@ -265,10 +266,54 @@ fn soak(err_path: &str, report_path: &str, scrape_out: &str) -> Result<String, S
     ))
 }
 
-/// The fault-free soak's report: SLO monitor live and unburnt, exemplars
-/// slowest first, the batcher coalescing, the cache hitting, every
-/// request answered and every fault counter 0.
+/// The field grammar every report meets, from a faulted run or not:
+/// latency quantiles in order, at most [`MAX_EXEMPLARS`] exemplars,
+/// slowest first, a cache hit rate within [0, 1], every error kind typed
+/// and the error counts summing to `failed`.
+fn serve_report(r: &ServeReport) -> Result<String, String> {
+    let l = &r.latency_us;
+    ensure!(
+        l.p50 <= l.p95 && l.p95 <= l.p99 && l.p99 <= l.max,
+        "latency quantiles out of order: {}",
+        Show(l)
+    );
+    let totals: Vec<u64> = r.exemplars.iter().map(|ex| ex.total_us).collect();
+    ensure!(
+        totals.len() <= MAX_EXEMPLARS,
+        "exemplar reservoir has {} entries",
+        totals.len()
+    );
+    ensure!(
+        totals.windows(2).all(|w| w[0] >= w[1]),
+        "exemplars not sorted slowest-first: {totals:?}"
+    );
+    let hit_rate = r.cache.hit_rate;
+    ensure!(
+        (0.0..=1.0).contains(&hit_rate),
+        "cache hit rate {hit_rate} outside [0, 1]"
+    );
+    let res = &r.resilience;
+    if let Some(kind) = res
+        .errors
+        .keys()
+        .find(|k| !ERROR_KINDS.contains(&k.as_str()))
+    {
+        return Err(format!("untyped error kind {kind:?}"));
+    }
+    let typed: u64 = res.errors.values().sum();
+    ensure!(typed == res.failed, "failed/errors mismatch: {res:?}");
+    Ok(format!(
+        "report well-formed: {} requests, {} answered, {} failed",
+        r.requests, res.answered, res.failed
+    ))
+}
+
+/// The fault-free soak's report, on top of [`serve_report`]'s grammar:
+/// SLO monitor live and unburnt, 1 to [`MAX_EXEMPLARS`] exemplars, the
+/// batcher coalescing, the cache hitting, every request answered and
+/// every fault counter 0.
 fn soak_report(r: &ServeReport) -> Result<String, String> {
+    serve_report(r)?;
     let (requests, slo) = (r.requests, &r.slo);
     ensure!(
         slo.active,
@@ -284,18 +329,10 @@ fn soak_report(r: &ServeReport) -> Result<String, String> {
     let burnt = slo.error_pct != 0.0 || slo.error_burn != 0.0;
     ensure!(!burnt, "fault-free soak burned error budget: {slo_json}");
     let totals: Vec<u64> = r.exemplars.iter().map(|ex| ex.total_us).collect();
-    ensure!(
-        !totals.is_empty() && totals.len() <= MAX_EXEMPLARS,
-        "exemplar reservoir has {} entries",
-        totals.len()
-    );
+    ensure!(!totals.is_empty(), "exemplar reservoir has 0 entries");
     ensure!(
         totals.iter().all(|&t| t > 0),
         "malformed exemplar total_us: {totals:?}"
-    );
-    ensure!(
-        totals.windows(2).all(|w| w[0] >= w[1]),
-        "exemplars not sorted slowest-first: {totals:?}"
     );
     let (p99, avg_batch, hit_rate) = (r.latency_us.p99, r.batch.avg, r.cache.hit_rate);
     ensure!(p99 > 0, "p99 latency is not positive: {p99}");
@@ -399,15 +436,7 @@ fn chaos(base: &ServeReport, chaos: &ServeReport, rerun: &ServeReport) -> Result
         res.answered + res.failed == requests,
         "chaos run lost requests: {res:?} of {requests}"
     );
-    if let Some(kind) = res
-        .errors
-        .keys()
-        .find(|k| !ERROR_KINDS.contains(&k.as_str()))
-    {
-        return Err(format!("untyped error kind {kind:?}"));
-    }
-    let typed: u64 = res.errors.values().sum();
-    ensure!(typed == res.failed, "failed/errors mismatch: {res:?}");
+    serve_report(chaos)?;
     ensure!(
         res.scorer_panics >= 1 && res.respawns >= 1,
         "injected panics did not register: {res:?}"

@@ -22,9 +22,15 @@ const CASES: &[&str] = &[
     "attribution attribution/good.log",
     "attribution attribution/low.log => op attribution 94.9% is below the 95% bar",
     "serve-report serve-report/good.json",
+    "serve-report serve-report/faulted.json",
+    "serve-report serve-report/nonzero_resilience.json",
     "serve-report serve-report/missing_field.json => lacks resilience.shed",
     "serve-report serve-report/unsorted_exemplars.json => exemplars not sorted slowest-first",
-    "serve-report serve-report/nonzero_resilience.json => tripped resilience counter respawns",
+    "soak-report serve-report/good.json",
+    "soak-report serve-report/missing_field.json => lacks resilience.shed",
+    "soak-report serve-report/unsorted_exemplars.json => exemplars not sorted slowest-first",
+    "soak-report serve-report/nonzero_resilience.json => tripped resilience counter respawns",
+    "soak-report serve-report/faulted.json => fault-free soak burned error budget",
     "access-log access-log/good.jsonl",
     "access-log access-log/missing_field.jsonl => access-log line 3 lacks cache_hit",
     "access-log access-log/duplicate_req.jsonl => duplicate trace id 2 on line 4",
@@ -160,7 +166,7 @@ fn rendered_reports_get_the_fixtures_verdicts() {
             &format!("{:#}\n", Show(&report)),
         )
     };
-    let report_kinds = ["serve-report", "chaos", "crc"];
+    let report_kinds = ["serve-report", "soak-report", "chaos", "crc"];
     let cases = CASES.iter().filter(|c| !c.contains("missing_field"));
     for case in cases.filter(|c| report_kinds.contains(&c.split(' ').next().unwrap())) {
         check(case, rendered);
@@ -187,6 +193,7 @@ fn committed_serve_report_validates() {
         "{}/../../results/serve_report.json",
         env!("CARGO_MANIFEST_DIR")
     );
-    let summary = validate("serve-report", &[path]).unwrap();
+    let summary = validate("soak-report", std::slice::from_ref(&path)).unwrap();
     assert_eq!(summary, "report ok: p99=1957us avg_batch=8 hit_rate=0.8265");
+    validate("serve-report", &[path]).unwrap();
 }

@@ -41,8 +41,14 @@
 //! so results are bitwise identical for every pool size and both operand
 //! forms. The serial/parallel crossover is derived from the
 //! pool size and the per-worker grain ([`crate::pool::GEMM_GRAIN`]); the
-//! row split additionally stays serial below
-//! [`crate::pool::GEMM_SERIAL_CUTOFF`].
+//! row and depth splits additionally stay serial below
+//! [`crate::pool::GEMM_SERIAL_CUTOFF`], the measured crossover. A deep
+//! product whose rows would give each worker a single MR-row tile — a GCN
+//! weight's gradient, `[R·K, d]ᵀ · [R·K, d]` — splits by depth instead:
+//! contiguous ranges of KC panels, each panel's chain in its own partial
+//! tile, the tiles added in ascending panel order ([`matmul_depth`]).
+
+use std::ops::Range;
 
 use crate::pool;
 use crate::simd::{self, PanelGeom, KC, MR, NR};
@@ -266,11 +272,16 @@ impl<'a> Lhs<'a> {
     /// stored matrix, so they are found in one row-major pass over it.
     fn zero_rows(self, m: usize, k: usize, flags: &mut Vec<bool>) {
         if self.trans {
-            flags.resize(flags.len() + m, true);
-            let flags = &mut flags[..m];
+            let start = flags.len();
+            flags.resize(start + m, true);
+            let flags = &mut flags[start..];
             for p in 0..k {
                 for (z, &v) in flags.iter_mut().zip(&self.a[p * self.ld..][..m]) {
                     *z &= v == 0.0;
+                }
+                // Stop once every row has shown a nonzero.
+                if !flags.contains(&true) {
+                    break;
                 }
             }
         } else {
@@ -340,12 +351,30 @@ impl<'a> Panels<'a> {
 }
 
 /// Shared body of every 2-D GEMM: `out[m×n] += a[m×k] · src[k×n]`, the
-/// output a dense `m×n` block. Only the panel source knows about the
-/// right-hand side's strides, column offsets or pre-packing; the
-/// micro-kernel reads `a` in either layout.
+/// output a dense `m×n` block.
 fn gemm_blocked_view(a: Lhs<'_>, src: Panels<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
+    gemm_depths(a, None, src, out, [m, k, n], 0..k);
+}
+
+/// [`gemm_blocked_view`] over the KC panels that start in `depths` only
+/// (`dims` is `[m, k, n]`; `depths` starts on a KC boundary). Only the
+/// panel source knows about the right-hand side's strides, column offsets
+/// or pre-packing; the micro-kernel reads `a` in either layout.
+///
+/// `row_zero` holds whether each row of `a` is zero at *every* depth of
+/// the whole product, or is `None` to find that here: a row that is zero
+/// only within `depths` must still be multiplied, because zero times a
+/// non-finite `b` is NaN.
+fn gemm_depths(
+    a: Lhs<'_>,
+    row_zero: Option<&[bool]>,
+    src: Panels<'_>,
+    out: &mut [f32],
+    [m, k, n]: [usize; 3],
+    depths: Range<usize>,
+) {
     debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 || depths.is_empty() {
         return;
     }
 
@@ -355,7 +384,7 @@ fn gemm_blocked_view(a: Lhs<'_>, src: Panels<'_>, out: &mut [f32], m: usize, k: 
     pool::with_workspace(|ws| {
         let pool::Workspace {
             panel: scratch,
-            row_zero,
+            row_zero: flags,
         } = ws;
         // Grow-only scratch: once `panel` and `row_zero` hit their
         // high-water sizes, steady-state calls allocate nothing.
@@ -364,25 +393,30 @@ fn gemm_blocked_view(a: Lhs<'_>, src: Panels<'_>, out: &mut [f32], m: usize, k: 
             grew += ((NC * KC - scratch.len()) * std::mem::size_of::<f32>()) as u64;
             scratch.resize(NC * KC, 0.0);
         }
-        row_zero.clear();
-        if row_zero.capacity() < m {
-            grew += (m - row_zero.capacity()) as u64;
-            row_zero.reserve(m);
-        }
+        let row_zero = match row_zero {
+            Some(z) => z,
+            None => {
+                flags.clear();
+                if flags.capacity() < m {
+                    grew += (m - flags.capacity()) as u64;
+                    flags.reserve(m);
+                }
+                // Padded sequence positions show up as all-zero rows of
+                // `a`; find them once (an O(m·k) scan against O(m·n·k)
+                // work) and skip them everywhere.
+                a.zero_rows(m, k, flags);
+                flags
+            }
+        };
         if grew > 0 {
             GEMM_PACK_BYTES.add(grew);
         } else {
             GEMM_PACK_REUSE.add(1);
         }
 
-        // Padded sequence positions show up as all-zero rows of `a`; find
-        // them once (an O(m·k) scan against O(m·n·k) work) and skip them
-        // everywhere.
-        a.zero_rows(m, k, row_zero);
-
         for jj in (0..n).step_by(NC) {
             let nc = NC.min(n - jj);
-            for kk in (0..k).step_by(KC) {
+            for kk in depths.clone().step_by(KC) {
                 let kc = KC.min(k - kk);
                 let panel: &[f32] = match src {
                     Panels::Pack { b, row, col, col0 } => {
@@ -508,6 +542,53 @@ fn gemm_in(
     let flops = m * n * k;
     let _timing = GEMM_TIMER.start_with(2 * flops as u64);
     let threads = pool.threads();
+    let dims = [m, k, n];
+    match split(threads, dims) {
+        Split::Serial => gemm_blocked_view(a, src, &mut out, m, k, n),
+        Split::Cols => matmul_cols(pool, a, src, &mut out, m, k, n),
+        Split::Depth => matmul_depth(pool, a, src, &mut out, dims),
+        Split::Rows(rows_per) => {
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
+                .chunks_mut(rows_per * n)
+                .enumerate()
+                .map(|(chunk_idx, out_chunk)| {
+                    let rows = out_chunk.len() / n;
+                    let a_block = a.skip_rows(chunk_idx * rows_per);
+                    Box::new(move || {
+                        gemm_blocked_view(a_block, src, out_chunk, rows, k, n);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run(tasks);
+        }
+    }
+    Tensor::from_vec(out, &[m, n])
+}
+
+/// How [`gemm_in`] deals a product to the pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Split {
+    /// One task, on the calling thread.
+    Serial,
+    /// Blocks of this many rows, a multiple of MR.
+    Rows(usize),
+    /// NC-aligned column blocks ([`matmul_cols`]).
+    Cols,
+    /// Ranges of KC panels ([`matmul_depth`]).
+    Depth,
+}
+
+/// The split of a `dims = [m, k, n]` product on a pool of `threads`
+/// workers. Every split computes each output element with the serial
+/// product's operations in the serial product's order, so the choice
+/// moves no bit; it depends only on the shapes, so a transposed operand
+/// read in place takes the same path as its materialised copy.
+fn split(threads: usize, [m, k, n]: [usize; 3]) -> Split {
+    let flops = m * n * k;
+    // Enough work per worker (grain) for any fan-out.
+    if threads == 1 || flops < pool::GEMM_GRAIN.saturating_mul(threads) {
+        return Split::Serial;
+    }
     // Column split when the row split below would leave workers idle
     // (fewer MR-row blocks than workers), or when the product is wide:
     // each worker's column share holds at least `m` NC panels, so row
@@ -515,43 +596,31 @@ fn gemm_in(
     // `n` floats apart.
     let short = m.div_ceil(MR) < threads;
     let wide = n >= m.saturating_mul(threads * NC);
-    if threads > 1
-        && n >= threads * NC
-        && (short || wide)
-        && flops >= pool::GEMM_GRAIN.saturating_mul(threads)
-    {
-        matmul_cols(pool, a, src, &mut out, m, k, n);
-        return Tensor::from_vec(out, &[m, n]);
+    if n >= threads * NC && (short || wide) {
+        return Split::Cols;
+    }
+    // Below the measured crossover the fan-out costs more than it saves.
+    if flops < pool::GEMM_SERIAL_CUTOFF {
+        return Split::Serial;
     }
     // Row blocks start at multiples of MR, so the rows that take the
     // micro-kernel (and the `m % MR` remainder rows that take the
     // single-row path) are the same as in the serial product — the two
     // paths treat zeros times non-finite values differently.
     let rows_per = m.div_ceil(threads).next_multiple_of(MR);
-    // Row split: at least two blocks, enough work per worker (grain) AND
-    // enough total work to amortise the fan-out itself (see
-    // `GEMM_SERIAL_CUTOFF`).
-    let parallel = rows_per < m
-        && flops >= pool::GEMM_SERIAL_CUTOFF
-        && flops >= pool::GEMM_GRAIN.saturating_mul(threads);
-    if !parallel {
-        gemm_blocked_view(a, src, &mut out, m, k, n);
-        return Tensor::from_vec(out, &[m, n]);
+    // When each worker would own a single MR-row tile, every one of them
+    // would also pack all of `b` for it; a deep product splits its KC
+    // panels instead, if the partial tiles fit one dense block.
+    let panels = k.div_ceil(KC);
+    let partial = (panels - panels.div_ceil(threads)).saturating_mul(m * n);
+    if rows_per <= MR && panels > 1 && partial <= DENSE_BLOCK {
+        return Split::Depth;
     }
-
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(rows_per * n)
-        .enumerate()
-        .map(|(chunk_idx, out_chunk)| {
-            let rows = out_chunk.len() / n;
-            let a_block = a.skip_rows(chunk_idx * rows_per);
-            Box::new(move || {
-                gemm_blocked_view(a_block, src, out_chunk, rows, k, n);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run(tasks);
-    Tensor::from_vec(out, &[m, n])
+    if rows_per < m {
+        Split::Rows(rows_per)
+    } else {
+        Split::Serial
+    }
 }
 
 /// Floats in a column-split task's dense scratch block (256 KiB): the
@@ -616,6 +685,57 @@ fn matmul_cols(
         })
         .collect();
     pool.run(tasks);
+}
+
+/// Depth split of a product too short to split by rows or columns, such
+/// as a GCN weight's gradient `[R·K, d]ᵀ · [R·K, d]`: the KC panels are
+/// dealt in contiguous ranges, one per worker. The first range adds its
+/// panels into `out` as the serial product does; every later panel's
+/// chain goes to its own zeroed partial tile, and the tiles are then
+/// added into `out` in ascending panel order.
+///
+/// Bitwise contract: the micro-kernel starts every panel's chain from
+/// +0.0 and adds it into `out`, so the serial product is exactly
+/// `((0 + P₀) + P₁) + …` per element. A partial tile holds `0 + P_q`,
+/// which is `P_q` (a chain from +0.0 is never −0.0), and adding the tiles
+/// in order replays that sum. The zero-row skip uses rows that are zero
+/// at every depth, found once over the whole product.
+fn matmul_depth(
+    pool: &pool::ThreadPool,
+    a: Lhs<'_>,
+    src: Panels<'_>,
+    out: &mut [f32],
+    dims: [usize; 3],
+) {
+    let [m, k, n] = dims;
+    if m * n * k == 0 {
+        return;
+    }
+    let panels = k.div_ceil(KC);
+    let per = panels.div_ceil(pool.threads());
+    let mut zero = Vec::with_capacity(m);
+    a.zero_rows(m, k, &mut zero);
+    let row_zero = Some(zero.as_slice());
+    let first = (per * KC).min(k);
+    let mut partials = vec![0.0f32; (panels - per.min(panels)) * m * n];
+    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+    let head = &mut *out;
+    tasks.push(Box::new(move || {
+        gemm_depths(a, row_zero, src, head, dims, 0..first)
+    }));
+    for (t, tiles) in partials.chunks_mut(per * m * n).enumerate() {
+        let d0 = first + t * per * KC;
+        tasks.push(Box::new(move || {
+            for (q, tile) in tiles.chunks_mut(m * n).enumerate() {
+                let kk = d0 + q * KC;
+                gemm_depths(a, row_zero, src, tile, dims, kk..(kk + KC).min(k));
+            }
+        }));
+    }
+    pool.run(tasks);
+    for tile in partials.chunks_exact(m * n) {
+        simd::add_assign(out, tile);
+    }
 }
 
 /// Rows of `h` per pool task in [`Adjacency::propagate`]. Fixed, so the
@@ -981,6 +1101,9 @@ mod tests {
     /// from per-call panels and from a [`PackedRhs`] alike.
     #[test]
     fn column_split_matches_blocked_bitwise() {
+        let _g = crate::mem::tests::ACCOUNTING
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let pools: Vec<pool::ThreadPool> = (1..=4).map(pool::ThreadPool::new).collect();
         let mut rng = SeedRng::seed(29);
         for n in [2 * NC - 1, 2 * NC, 2 * NC + NR + 3, 113_959] {
@@ -1038,6 +1161,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`matmul_depth`] adds the same panel chains in the same order as
+    /// the serial product, bit for bit: depths from one element to 320
+    /// KC panels plus a partial one, a single panel (every worker but the
+    /// first idle), fewer panels than workers, a row zero at every depth
+    /// and a whole MR tile zero inside panel 0 only (where `b` is
+    /// infinite, so the serial product makes NaN), NaN and ±inf in either
+    /// operand,
+    /// and both layouts of `a` — at every SIMD level, on 1, 2 and 4
+    /// workers.
+    #[test]
+    fn depth_split_matches_blocked_bitwise() {
+        let pools: Vec<pool::ThreadPool> =
+            [1, 2, 4].into_iter().map(pool::ThreadPool::new).collect();
+        // Plain vectors, not tensors: this test's multi-megabyte operands
+        // stay outside the memory accounting another test reads.
+        let values = |len: usize, seed: usize| -> Vec<f32> {
+            let hash = |i: usize| (i * 2_654_435_761 + seed * 40_503) % 2_001;
+            (0..len).map(|i| hash(i) as f32 / 1_000.0 - 1.0).collect()
+        };
+        let prev = simd::level();
+        for k in [1, KC - 1, KC, KC + 1, 3 * KC + 5, 320 * KC, 320 * KC + 3] {
+            for (m, n) in [(8, 8), (3, 17), (MR + 1, NR + 1), (0, 8), (8, 0)] {
+                let mut a = values(m * k, k + m);
+                let mut b = values(k * n, k + n + 1);
+                if m >= 3 {
+                    // The first MR rows (a whole tile where m allows) are
+                    // zero in panel 0 only, row 1 at every depth.
+                    for row in a.chunks_exact_mut(k).take(MR) {
+                        row[..KC.min(k)].fill(0.0);
+                    }
+                    a[k..2 * k].fill(0.0);
+                    a[m * k - 1] = f32::NAN;
+                }
+                if n >= 2 {
+                    // Depth 0 meets the zero tile: 0 × -inf is NaN there.
+                    b[(k - 1) * n] = f32::INFINITY;
+                    b[n - 1] = f32::NEG_INFINITY;
+                }
+                // Row-major `a`, and the same values stored as `aᵀ`.
+                let a_cols: Vec<f32> = (0..k * m).map(|e| a[(e % m) * k + e / m]).collect();
+                let mut want = vec![0.0f32; m * n];
+                gemm_blocked(&a, &b, &mut want, m, k, n);
+                for level in simd::available_levels() {
+                    simd::set_level(level);
+                    for p in &pools {
+                        for (layout, lhs) in
+                            [("rows", Lhs::rows(&a, k)), ("cols", Lhs::cols(&a_cols, m))]
+                        {
+                            let mut got = vec![0.0f32; m * n];
+                            matmul_depth(p, lhs, Panels::pack(&b, n), &mut got, [m, k, n]);
+                            let same = got
+                                .iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits());
+                            let threads = p.threads();
+                            assert!(same, "{layout} m={m} k={k} n={n} threads={threads} {level}");
+                        }
+                    }
+                }
+            }
+        }
+        simd::set_level(prev);
+    }
+
+    /// The gate takes the depth split only for a deep product whose rows
+    /// would give each worker one MR tile, and only above the cutoff.
+    #[test]
+    fn split_gate_picks_each_path() {
+        assert_eq!(split(1, [81_920, 8, 8]), Split::Serial);
+        assert_eq!(split(2, [81_920, 8, 8]), Split::Rows(40_960));
+        assert_eq!(split(2, [8, 81_920, 8]), Split::Depth);
+        assert_eq!(split(4, [8, 81_920, 8]), Split::Depth);
+        assert_eq!(split(2, [8, 1_280, 8]), Split::Serial);
+        assert_eq!(split(2, [40, 32, 32]), Split::Serial);
+        assert_eq!(split(2, [1_280, 32, 891]), Split::Rows(640));
+        assert_eq!(split(2, [32, 1_280, 891]), Split::Rows(16));
+        assert_eq!(split(2, [1, 32, 113_959]), Split::Cols);
+        // Partial tiles beyond one dense block fall back to the row split.
+        assert_eq!(split(2, [8, 81_920, 1_000]), Split::Rows(4));
     }
 
     /// The row split of a tall product keeps every row on the same kernel

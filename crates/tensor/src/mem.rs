@@ -114,12 +114,18 @@ pub fn epoch_peak_bytes() -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Tensor;
 
+    /// Held by this module's test and by the tests in this binary that
+    /// allocate tensors larger than its headroom (a column-split sweep
+    /// builds a 120 MB operand), so those never overlap it.
+    pub(crate) static ACCOUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn accounting_tracks_alloc_and_free() {
+        let _g = ACCOUNTING.lock().unwrap_or_else(|e| e.into_inner());
         // Other tests in this binary may allocate concurrently, so use a
         // buffer far larger than their combined churn and assert with
         // headroom rather than exact equality.

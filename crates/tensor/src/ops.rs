@@ -3,21 +3,27 @@
 //! Large maps are dealt to the shared worker pool ([`crate::pool`]) in
 //! contiguous chunks. Every element is computed independently, so the
 //! result is identical for every pool size. The arithmetic entry points
-//! (`add`/`sub`/`mul`/`div`, `axpy`, `scale`, …) route same-shape operands
-//! through the runtime-dispatched SIMD kernels in [`crate::simd`].
+//! (`add`/`sub`/`mul`/`div`, `axpy`, `scale`, …) run through the
+//! runtime-dispatched SIMD kernels in [`crate::simd`], broadcast operands
+//! included: each broadcast run is one kernel call with a step-1 side as a
+//! slice and a step-0 side as one repeated value.
+
+use std::ops::Range;
 
 use crate::pool;
-use crate::shape::{broadcast_shapes, broadcast_walk, num_elements};
-use crate::simd;
+use crate::shape::{broadcast_blocks, broadcast_shapes, num_elements};
+use crate::simd::{self, BinOp, Side};
 use crate::Tensor;
 
 /// The single chunked-fill entry point for elementwise output buffers:
 /// picks the pooled or serial path once, then hands `(base_index, chunk)`
-/// pairs to `kernel`. The partition depends only on the length and pool
-/// size gates — and since every kernel is elementwise, results are
-/// identical however the buffer is split.
-fn fill_chunks(out: &mut [f32], kernel: &(impl Fn(usize, &mut [f32]) + Sync)) {
-    if pool::should_parallelize(out.len(), pool::ELEM_GRAIN) {
+/// pairs to `kernel`. `work` is the element count the gate weighs (the
+/// output's length, or more where each output element costs several).
+/// The partition depends only on the length and pool size gates — and
+/// since every output element is computed whole inside one chunk, results
+/// are identical however the buffer is split.
+fn fill_chunks(out: &mut [f32], work: usize, kernel: &(impl Fn(usize, &mut [f32]) + Sync)) {
+    if pool::should_parallelize(work, pool::ELEM_GRAIN) {
         let chunk = out.len().div_ceil(pool::global().threads()).max(1);
         pool::parallel_chunks_mut(out, chunk, |ci, o| kernel(ci * chunk, o));
     } else {
@@ -25,23 +31,11 @@ fn fill_chunks(out: &mut [f32], kernel: &(impl Fn(usize, &mut [f32]) + Sync)) {
     }
 }
 
-/// Same-shape binary arithmetic through one SIMD slice kernel. Shape
-/// equality is the caller's check; lengths then agree by construction.
-fn binary_same_shape(a: &Tensor, b: &Tensor, kernel: fn(&[f32], &[f32], &mut [f32])) -> Tensor {
-    let (xs, ys) = (a.data(), b.data());
-    let mut data = vec![0.0f32; xs.len()];
-    fill_chunks(&mut data, &|base, out| {
-        let end = base + out.len();
-        kernel(&xs[base..end], &ys[base..end], out);
-    });
-    Tensor::from_vec(data, a.shape())
-}
-
 /// Applies `f` to every element, producing a new tensor.
 pub fn map(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     let src = t.data();
     let mut data = vec![0.0f32; src.len()];
-    fill_chunks(&mut data, &|base, out| {
+    fill_chunks(&mut data, src.len(), &|base, out| {
         for (o, &v) in out.iter_mut().zip(&src[base..]) {
             *o = f(v);
         }
@@ -49,82 +43,133 @@ pub fn map(t: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
     Tensor::from_vec(data, t.shape())
 }
 
+/// The broadcast of `a` and `b`, filled a block of runs at a time:
+/// `block(out, n, x, y)` writes the runs of `n` in `out` from their
+/// operands (see [`Side`]). Chunks of the output go to the pool through
+/// [`fill_chunks`]' gate; a chunk edge may fall inside a run, and each
+/// piece is then a run of its own. `what` names the op in the panic for
+/// shapes that do not broadcast.
+fn broadcast_runs(
+    a: &Tensor,
+    b: &Tensor,
+    what: &dyn std::fmt::Debug,
+    block: &(impl Fn(&mut [f32], usize, Side<'_>, Side<'_>) + Sync),
+) -> Tensor {
+    let out_dims = broadcast_shapes(a.shape(), b.shape()).unwrap_or_else(|| {
+        panic!(
+            "incompatible shapes for {what:?}: {:?} vs {:?}",
+            a.shape(),
+            b.shape()
+        )
+    });
+    let (xs, ys) = (a.data(), b.data());
+    let mut data = vec![0.0f32; num_elements(&out_dims)];
+    let len = data.len();
+    fill_chunks(&mut data, len, &|base, out| {
+        let range = base..base + out.len();
+        broadcast_blocks(
+            &out_dims,
+            [a.shape(), b.shape()],
+            range,
+            |o, n, rows, [x, y]| {
+                let out = &mut out[o - base..o - base + n * rows];
+                block(out, n, side(xs, x), side(ys, y));
+            },
+        );
+    });
+    Tensor::from_vec(data, &out_dims)
+}
+
+/// An operand's `(start, step, row)` in a broadcast block, as a [`Side`].
+fn side(data: &[f32], (start, step, row): (usize, usize, usize)) -> Side<'_> {
+    Side {
+        data,
+        start,
+        row,
+        step,
+    }
+}
+
 /// Applies `f(a_i, b_i)` pairwise with NumPy broadcasting.
 ///
 /// Panics when the shapes are not broadcast-compatible.
 pub fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
-    let (xs, ys) = (a.data(), b.data());
     if a.shape() == b.shape() {
         // Hot path: identical shapes need no index arithmetic.
+        let (xs, ys) = (a.data(), b.data());
         let mut data = vec![0.0f32; xs.len()];
-        fill_chunks(&mut data, &|base, out| {
+        fill_chunks(&mut data, xs.len(), &|base, out| {
             for (i, o) in out.iter_mut().enumerate() {
                 *o = f(xs[base + i], ys[base + i]);
             }
         });
         return Tensor::from_vec(data, a.shape());
     }
-    let out_dims = broadcast_shapes(a.shape(), b.shape()).unwrap_or_else(|| {
-        panic!(
-            "incompatible shapes for zip_map: {:?} vs {:?}",
-            a.shape(),
-            b.shape()
-        )
-    });
-    let mut data = vec![0.0f32; num_elements(&out_dims)];
-    broadcast_walk(
-        &out_dims,
-        [a.shape(), b.shape()],
-        |o, n, [(ia, sa), (ib, sb)]| {
+    broadcast_runs(a, b, &"zip_map", &|out, n, x, y| {
+        for (r, out) in out.chunks_exact_mut(n).enumerate() {
+            let (xi, yi) = (x.start + r * x.row, y.start + r * y.row);
             // One loop per step pattern, so each vectorises.
-            let out = &mut data[o..o + n];
-            match (sa, sb) {
+            match (x.step, y.step) {
                 (1, 1) => {
-                    for ((o, &x), &y) in out.iter_mut().zip(&xs[ia..]).zip(&ys[ib..]) {
+                    let (x, y) = (&x.data[xi..xi + n], &y.data[yi..yi + n]);
+                    for ((o, &x), &y) in out.iter_mut().zip(x).zip(y) {
                         *o = f(x, y);
                     }
                 }
                 (1, _) => {
-                    let y = ys[ib];
-                    for (o, &x) in out.iter_mut().zip(&xs[ia..]) {
+                    let (x, y) = (&x.data[xi..xi + n], y.data[yi]);
+                    for (o, &x) in out.iter_mut().zip(x) {
                         *o = f(x, y);
                     }
                 }
                 (_, 1) => {
-                    let x = xs[ia];
-                    for (o, &y) in out.iter_mut().zip(&ys[ib..]) {
+                    let (x, y) = (x.data[xi], &y.data[yi..yi + n]);
+                    for (o, &y) in out.iter_mut().zip(y) {
                         *o = f(x, y);
                     }
                 }
-                _ => out.fill(f(xs[ia], ys[ib])),
+                _ => out.fill(f(x.data[xi], y.data[yi])),
             }
-        },
-    );
-    Tensor::from_vec(data, &out_dims)
+        }
+    })
+}
+
+/// `a op b` with broadcasting, through one SIMD kernel resolved per call:
+/// same-shape operands in pooled chunks, broadcast ones a block of runs
+/// at a time.
+fn arith(op: BinOp, a: &Tensor, b: &Tensor) -> Tensor {
+    let kernel = simd::binary_kernel(op);
+    if a.shape() != b.shape() {
+        return broadcast_runs(a, b, &op, &|out, n, x, y| kernel.call(x, y, n, out));
+    }
+    let (xs, ys) = (a.data(), b.data());
+    let mut data = vec![0.0f32; xs.len()];
+    fill_chunks(&mut data, xs.len(), &|base, out| {
+        let at = base..base + out.len();
+        let (x, y) = (Side::run(&xs[at.clone()]), Side::run(&ys[at]));
+        kernel.call(x, y, out.len(), out);
+    });
+    Tensor::from_vec(data, a.shape())
 }
 
 /// `a + b` with broadcasting.
 pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    if a.shape() == b.shape() {
-        return binary_same_shape(a, b, simd::vadd);
-    }
-    zip_map(a, b, |x, y| x + y)
+    arith(BinOp::Add, a, b)
 }
 
 /// `a - b` with broadcasting.
 pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
-    if a.shape() == b.shape() {
-        return binary_same_shape(a, b, simd::vsub);
-    }
-    zip_map(a, b, |x, y| x - y)
+    arith(BinOp::Sub, a, b)
 }
 
 /// Element-wise `a * b` with broadcasting (Hadamard product).
 pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
-    if a.shape() == b.shape() {
-        return binary_same_shape(a, b, simd::vmul);
-    }
-    zip_map(a, b, |x, y| x * y)
+    arith(BinOp::Mul, a, b)
+}
+
+/// Element-wise `a / b` with broadcasting.
+pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
+    arith(BinOp::Div, a, b)
 }
 
 /// `mul(a, b).reduce_to(dims)` without building the full-size product: one
@@ -133,6 +178,10 @@ pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
 /// ascending flat index of the product, as [`Tensor::reduce_to`] does, so
 /// the bits equal the two-step form's. This is the gradient of a
 /// broadcasting `mul` with respect to its smaller operand.
+///
+/// When `dims` reduces only trailing axes, each output element's products
+/// are one contiguous block of the product, so blocks of output elements
+/// are dealt to the pool, each walked by one task in the same order.
 ///
 /// Panics when the shapes are not broadcast-compatible or `dims` does not
 /// broadcast to the product's shape.
@@ -148,50 +197,93 @@ pub fn mul_reduce_to(a: &Tensor, b: &Tensor, dims: &[usize]) -> Tensor {
         return mul(a, b);
     }
     let (xs, ys) = (a.data(), b.data());
-    let mut acc = vec![0.0f32; num_elements(dims)];
-    broadcast_walk(
-        &out_dims,
-        [a.shape(), b.shape(), dims],
-        |_, n, [(ia, sa), (ib, sb), (io, so)]| {
-            let prod = |t: usize| xs[ia + t * sa] * ys[ib + t * sb];
-            if so == 0 {
-                acc[io] = (0..n).fold(acc[io], |s, t| s + prod(t));
-            } else {
-                for (t, slot) in acc[io..io + n].iter_mut().enumerate() {
-                    *slot += prod(t);
+    // Adds the products `range` covers into `acc`, whose first element is
+    // output element `base`.
+    let add_products = |acc: &mut [f32], base: usize, range: Range<usize>| {
+        let operands = [a.shape(), b.shape(), dims];
+        broadcast_blocks(&out_dims, operands, range, |_, n, rows, [x, y, o]| {
+            let ((ia, sa, ra), (ib, sb, rb), (io, so, ro)) = (x, y, o);
+            let prod = |r: usize, t: usize| xs[ia + r * ra + t * sa] * ys[ib + r * rb + t * sb];
+            let at = |r: usize| io - base + r * ro;
+            let mut r = 0;
+            if so == 0 && ro != 0 {
+                // Each run is its own output element's chain: advance
+                // eight of them together, each still in ascending order.
+                while r + CHAINS <= rows {
+                    let mut sums: [f32; CHAINS] = std::array::from_fn(|q| acc[at(r + q)]);
+                    for t in 0..n {
+                        for (q, sum) in sums.iter_mut().enumerate() {
+                            *sum += prod(r + q, t);
+                        }
+                    }
+                    for (q, sum) in sums.into_iter().enumerate() {
+                        acc[at(r + q)] = sum;
+                    }
+                    r += CHAINS;
                 }
             }
-        },
-    );
+            for r in r..rows {
+                let io = at(r);
+                if so == 0 {
+                    acc[io] = (0..n).fold(acc[io], |s, t| s + prod(r, t));
+                } else {
+                    for (t, slot) in acc[io..io + n].iter_mut().enumerate() {
+                        *slot += prod(r, t);
+                    }
+                }
+            }
+        })
+    };
+    let mut acc = vec![0.0f32; num_elements(dims)];
+    let total = num_elements(&out_dims);
+    match trailing_block(&out_dims, dims) {
+        Some(block) => fill_chunks(&mut acc, total, &|base, out| {
+            add_products(out, base, base * block..(base + out.len()) * block)
+        }),
+        None => add_products(&mut acc, 0, 0..total),
+    }
     Tensor::from_vec(acc, dims)
 }
 
-/// Element-wise `a / b` with broadcasting.
-pub fn div(a: &Tensor, b: &Tensor) -> Tensor {
-    if a.shape() == b.shape() {
-        return binary_same_shape(a, b, simd::vdiv);
-    }
-    zip_map(a, b, |x, y| x / y)
+/// Independent reduction chains [`mul_reduce_to`] advances together.
+const CHAINS: usize = 8;
+
+/// When `dims` equals `out` on leading axes and is 1 on every axis after
+/// them (right-aligned, missing axes counting as 1), output element `j` of
+/// a reduction from `out` to `dims` sums the block `[j·B, (j+1)·B)` of
+/// `out`'s flat indices; returns that block length `B`.
+fn trailing_block(out: &[usize], dims: &[usize]) -> Option<usize> {
+    let lead = out.len().checked_sub(dims.len())?;
+    let dim = |axis: usize| axis.checked_sub(lead).map_or(1, |i| dims[i]);
+    let split = (0..out.len())
+        .rev()
+        .find(|&axis| dim(axis) != 1)
+        .map_or(0, |a| a + 1);
+    (0..split)
+        .all(|axis| dim(axis) == out[axis])
+        .then(|| out[split..].iter().product())
+}
+
+/// `t op s` for a scalar `s`, in pooled chunks.
+fn scalar_rhs(op: BinOp, t: &Tensor, s: f32) -> Tensor {
+    let kernel = simd::binary_kernel(op);
+    let src = t.data();
+    let mut data = vec![0.0f32; src.len()];
+    fill_chunks(&mut data, src.len(), &|base, out| {
+        let x = Side::run(&src[base..base + out.len()]);
+        kernel.call(x, Side::splat(std::slice::from_ref(&s)), out.len(), out);
+    });
+    Tensor::from_vec(data, t.shape())
 }
 
 /// `t + s` for a scalar `s`.
 pub fn add_scalar(t: &Tensor, s: f32) -> Tensor {
-    let src = t.data();
-    let mut data = vec![0.0f32; src.len()];
-    fill_chunks(&mut data, &|base, out| {
-        simd::add_scalar_into(&src[base..base + out.len()], s, out);
-    });
-    Tensor::from_vec(data, t.shape())
+    scalar_rhs(BinOp::Add, t, s)
 }
 
 /// `t * s` for a scalar `s`.
 pub fn scale(t: &Tensor, s: f32) -> Tensor {
-    let src = t.data();
-    let mut data = vec![0.0f32; src.len()];
-    fill_chunks(&mut data, &|base, out| {
-        simd::scale_into(&src[base..base + out.len()], s, out);
-    });
-    Tensor::from_vec(data, t.shape())
+    scalar_rhs(BinOp::Mul, t, s)
 }
 
 /// In-place `a += b` (same shape only; the hot accumulation path).

@@ -249,12 +249,21 @@ fn pool_size(value: &str, detected: usize) -> (usize, Option<String>) {
 /// before the pool is engaged.
 pub const GEMM_GRAIN: usize = 1 << 18;
 
-/// Small-GEMM serial cutoff: total multiply-add count below which a
-/// row-split matmul never engages the pool, regardless of thread count.
-/// 2²³ (≈8.4 M, about 200³) is a conservative guess, not a measured
-/// crossover. Short or wide products take `matmul`'s column split instead
-/// and are gated by [`GEMM_GRAIN`] alone.
-pub const GEMM_SERIAL_CUTOFF: usize = 1 << 23;
+/// Small-GEMM serial cutoff: total multiply-add count below which a row-
+/// or depth-split matmul never engages the pool, regardless of thread
+/// count. Short or wide products take `matmul`'s column split instead and
+/// are gated by [`GEMM_GRAIN`] alone.
+///
+/// 2²² (≈4.2 M) is the measured crossover. Timed on a 2-core avx512 host
+/// (release build, medians of 61 interleaved calls per side, two sweeps),
+/// a two-worker row split of `[m, k]·[k, n]` against the serial product
+/// at `(k, n)` = (8, 8), (32, 32), (8, 32), (32, 16), (16, 32), (64, 64)
+/// took 0.94–1.24× the serial time at 2²⁰ multiply-adds, 0.62–1.10× at
+/// 2²¹, 0.65–1.06× at 2²² and 0.63–0.88× at 2²³. At 2²² the split is
+/// no slower within the spread on every shape, and the GCN's
+/// `[R·K, d′]·[d′, d′]` products of training (5.2 M) take it; serving's
+/// products (at most ~0.2 M) stay far below it.
+pub const GEMM_SERIAL_CUTOFF: usize = 1 << 22;
 
 /// Elementwise/reduction crossover grain: minimum element count per worker
 /// before the pool is engaged.

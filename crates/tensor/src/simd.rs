@@ -356,50 +356,6 @@ macro_rules! dispatch8 {
 }
 
 #[inline(always)]
-fn vadd_body<V: V8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let (main, tail) = split8(out.len());
-    for i in (0..main).step_by(8) {
-        V::load(&a[i..]).add(V::load(&b[i..])).store(&mut out[i..]);
-    }
-    for i in tail {
-        out[i] = a[i] + b[i];
-    }
-}
-
-#[inline(always)]
-fn vsub_body<V: V8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let (main, tail) = split8(out.len());
-    for i in (0..main).step_by(8) {
-        V::load(&a[i..]).sub(V::load(&b[i..])).store(&mut out[i..]);
-    }
-    for i in tail {
-        out[i] = a[i] - b[i];
-    }
-}
-
-#[inline(always)]
-fn vmul_body<V: V8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let (main, tail) = split8(out.len());
-    for i in (0..main).step_by(8) {
-        V::load(&a[i..]).mul(V::load(&b[i..])).store(&mut out[i..]);
-    }
-    for i in tail {
-        out[i] = a[i] * b[i];
-    }
-}
-
-#[inline(always)]
-fn vdiv_body<V: V8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let (main, tail) = split8(out.len());
-    for i in (0..main).step_by(8) {
-        V::load(&a[i..]).div(V::load(&b[i..])).store(&mut out[i..]);
-    }
-    for i in tail {
-        out[i] = a[i] / b[i];
-    }
-}
-
-#[inline(always)]
 fn axpy_body<V: V8>(y: &mut [f32], s: f32, x: &[f32]) {
     let (main, tail) = split8(y.len());
     let sv = V::splat(s);
@@ -425,18 +381,6 @@ fn add_assign_body<V: V8>(y: &mut [f32], x: &[f32]) {
 }
 
 #[inline(always)]
-fn scale_into_body<V: V8>(x: &[f32], s: f32, out: &mut [f32]) {
-    let (main, tail) = split8(out.len());
-    let sv = V::splat(s);
-    for i in (0..main).step_by(8) {
-        V::load(&x[i..]).mul(sv).store(&mut out[i..]);
-    }
-    for i in tail {
-        out[i] = x[i] * s;
-    }
-}
-
-#[inline(always)]
 fn scale_in_place_body<V: V8>(y: &mut [f32], s: f32) {
     let (main, tail) = split8(y.len());
     let sv = V::splat(s);
@@ -445,18 +389,6 @@ fn scale_in_place_body<V: V8>(y: &mut [f32], s: f32) {
     }
     for i in tail {
         y[i] *= s;
-    }
-}
-
-#[inline(always)]
-fn add_scalar_into_body<V: V8>(x: &[f32], s: f32, out: &mut [f32]) {
-    let (main, tail) = split8(out.len());
-    let sv = V::splat(s);
-    for i in (0..main).step_by(8) {
-        V::load(&x[i..]).add(sv).store(&mut out[i..]);
-    }
-    for i in tail {
-        out[i] = x[i] + s;
     }
 }
 
@@ -498,6 +430,173 @@ fn row_max_body<V: V8>(x: &[f32]) -> f32 {
         }
     }
     m
+}
+
+/// The four arithmetic operations of [`binary_kernel`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BinOp {
+    /// `x + y`.
+    Add,
+    /// `x - y`.
+    Sub,
+    /// `x * y`.
+    Mul,
+    /// `x / y`.
+    Div,
+}
+
+/// One operand of a [`BinaryKernel`] call over `out.len() / n` runs of `n`
+/// output elements: run `r` reads `data` from `start + r·row` on, one
+/// value per output element when `step` is 1, or that one value repeated
+/// when `step` is 0 (the operand is broadcast along the run).
+#[derive(Clone, Copy, Debug)]
+pub struct Side<'a> {
+    /// The operand's values.
+    pub data: &'a [f32],
+    /// Where run 0 starts.
+    pub start: usize,
+    /// How far apart the runs start.
+    pub row: usize,
+    /// 1 or 0: the run's stride through `data`.
+    pub step: usize,
+}
+
+impl<'a> Side<'a> {
+    /// A slice read along one run, as many values as the output has.
+    pub fn run(data: &'a [f32]) -> Side<'a> {
+        Side {
+            data,
+            start: 0,
+            row: 0,
+            step: 1,
+        }
+    }
+
+    /// `data[0]` for every output element.
+    pub fn splat(data: &'a [f32]) -> Side<'a> {
+        Side {
+            data,
+            start: 0,
+            row: 0,
+            step: 0,
+        }
+    }
+}
+
+/// One [`BinOp`] as a lane operation and its scalar transcription.
+trait Arith {
+    fn lanes<V: V8>(x: V, y: V) -> V;
+    fn one(x: f32, y: f32) -> f32;
+}
+
+macro_rules! arith {
+    ($name:ident, $lanes:ident, $op:tt) => {
+        struct $name;
+        impl Arith for $name {
+            #[inline(always)]
+            fn lanes<V: V8>(x: V, y: V) -> V {
+                x.$lanes(y)
+            }
+            #[inline(always)]
+            fn one(x: f32, y: f32) -> f32 {
+                x $op y
+            }
+        }
+    };
+}
+arith!(AddOp, add, +);
+arith!(SubOp, sub, -);
+arith!(MulOp, mul, *);
+arith!(DivOp, div, /);
+
+/// `out[r·n + j] = x(r, j) op y(r, j)` over the runs of `n` described by
+/// `x` and `y` (see [`Side`]): the same single operation per element at
+/// every level, on eight lanes and then a scalar tail per run.
+#[inline(always)]
+fn binary_body<V: V8, O: Arith>(x: Side<'_>, y: Side<'_>, n: usize, out: &mut [f32]) {
+    let (main, tail) = split8(n);
+    for (r, out) in out.chunks_exact_mut(n.max(1)).enumerate() {
+        let (xi, yi) = (x.start + r * x.row, y.start + r * y.row);
+        match (x.step, y.step) {
+            (1, 1) => {
+                let (x, y) = (&x.data[xi..xi + n], &y.data[yi..yi + n]);
+                for i in (0..main).step_by(8) {
+                    O::lanes(V::load(&x[i..]), V::load(&y[i..])).store(&mut out[i..]);
+                }
+                for i in tail.clone() {
+                    out[i] = O::one(x[i], y[i]);
+                }
+            }
+            (1, _) => {
+                let (x, y) = (&x.data[xi..xi + n], y.data[yi]);
+                let yv = V::splat(y);
+                for i in (0..main).step_by(8) {
+                    O::lanes(V::load(&x[i..]), yv).store(&mut out[i..]);
+                }
+                for i in tail.clone() {
+                    out[i] = O::one(x[i], y);
+                }
+            }
+            (_, 1) => {
+                let (x, y) = (x.data[xi], &y.data[yi..yi + n]);
+                let xv = V::splat(x);
+                for i in (0..main).step_by(8) {
+                    O::lanes(xv, V::load(&y[i..])).store(&mut out[i..]);
+                }
+                for i in tail.clone() {
+                    out[i] = O::one(x, y[i]);
+                }
+            }
+            _ => out.fill(O::one(x.data[xi], y.data[yi])),
+        }
+    }
+}
+
+type RawBinaryKernel = unsafe fn(Side<'_>, Side<'_>, usize, &mut [f32]);
+
+/// A resolved elementwise arithmetic kernel: resolve once per tensor op
+/// with [`binary_kernel`], then call it per chunk or per block of
+/// broadcast runs. Calling it is safe for the same reason as
+/// [`GemmKernel`]: its only constructor stays within `detected()`.
+#[derive(Clone, Copy)]
+pub struct BinaryKernel(RawBinaryKernel);
+
+impl BinaryKernel {
+    /// `out[r·n + j] = x(r, j) op y(r, j)` for every run `r` of `n` in
+    /// `out` (a whole number of them); see [`Side`].
+    #[inline]
+    pub fn call(self, x: Side<'_>, y: Side<'_>, n: usize, out: &mut [f32]) {
+        debug_assert!(out.len().is_multiple_of(n.max(1)));
+        // SAFETY: `binary_kernel` selects feature-gated bodies strictly
+        // within `detected()`; the bodies are bounds-checked safe Rust.
+        unsafe { (self.0)(x, y, n, out) }
+    }
+}
+
+/// `op`'s kernel at the active level.
+fn resolve<O: Arith>() -> RawBinaryKernel {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2<O: Arith>(x: Side<'_>, y: Side<'_>, n: usize, out: &mut [f32]) {
+            binary_body::<x86::Avx2V, O>(x, y, n, out)
+        }
+        match level() {
+            Level::Avx2 | Level::Avx512 => return avx2::<O>,
+            Level::Scalar => {}
+        }
+    }
+    binary_body::<ScalarV, O>
+}
+
+/// Selects the kernel for `op` at the active level (see [`BinaryKernel`]).
+pub fn binary_kernel(op: BinOp) -> BinaryKernel {
+    BinaryKernel(match op {
+        BinOp::Add => resolve::<AddOp>(),
+        BinOp::Sub => resolve::<SubOp>(),
+        BinOp::Mul => resolve::<MulOp>(),
+        BinOp::Div => resolve::<DivOp>(),
+    })
 }
 
 /// Adam hyper-state for [`adam_step`], precomputed once per optimizer step.
@@ -562,33 +661,15 @@ fn split8(n: usize) -> (usize, std::ops::Range<usize>) {
     (main, main..n)
 }
 
-dispatch8!(vadd_body =>
-    /// `out[i] = a[i] + b[i]` (same length, validated by the caller).
-    pub fn vadd(a: &[f32], b: &[f32], out: &mut [f32]));
-dispatch8!(vsub_body =>
-    /// `out[i] = a[i] - b[i]`.
-    pub fn vsub(a: &[f32], b: &[f32], out: &mut [f32]));
-dispatch8!(vmul_body =>
-    /// `out[i] = a[i] * b[i]`.
-    pub fn vmul(a: &[f32], b: &[f32], out: &mut [f32]));
-dispatch8!(vdiv_body =>
-    /// `out[i] = a[i] / b[i]`.
-    pub fn vdiv(a: &[f32], b: &[f32], out: &mut [f32]));
 dispatch8!(axpy_body =>
     /// `y[i] += s * x[i]`.
     pub fn axpy(y: &mut [f32], s: f32, x: &[f32]));
 dispatch8!(add_assign_body =>
     /// `y[i] += x[i]`.
     pub fn add_assign(y: &mut [f32], x: &[f32]));
-dispatch8!(scale_into_body =>
-    /// `out[i] = x[i] * s`.
-    pub fn scale_into(x: &[f32], s: f32, out: &mut [f32]));
 dispatch8!(scale_in_place_body =>
     /// `y[i] *= s`.
     pub fn scale_in_place(y: &mut [f32], s: f32));
-dispatch8!(add_scalar_into_body =>
-    /// `out[i] = x[i] + s`.
-    pub fn add_scalar_into(x: &[f32], s: f32, out: &mut [f32]));
 dispatch8!(row_sum_body =>
     /// Lane-structured sum: eight in-order partials over `chunks_exact(8)`
     /// combined in lane order, then a sequential tail. Identical bits at
@@ -863,14 +944,13 @@ fn gemm_panel_body<C: ColBlock, const TA: bool>(
         }
         let out = &mut out[i * n + jj..];
         if TA {
-            // The tile's four values at each depth are adjacent in `a`;
-            // gather them once, and every column block reads them in order.
-            let mut tile = [[0.0f32; MR]; KC];
-            let tile = &mut tile[..kc];
-            for (xs, depth) in tile.iter_mut().zip(a[kk * lda + i..].chunks(lda)) {
-                xs.copy_from_slice(&depth[..MR]);
-            }
-            tile_blocks::<C>(|p| tile[p], panel, out, n, kc, nc);
+            // The tile's four values at each depth are adjacent in `a`,
+            // read in place: one load per depth, where a gather into a
+            // packed tile costs a load and a store per depth and is slower
+            // even when done once per KC panel.
+            let tile = &a[kk * lda + i..];
+            let at = |p: usize| -> [f32; MR] { tile[p * lda..p * lda + MR].try_into().unwrap() };
+            tile_blocks::<C>(at, panel, out, n, kc, nc);
         } else {
             let row = |r: usize| &a[(i + r) * lda + kk..(i + r) * lda + kk + kc];
             let (a0, a1, a2, a3) = (row(0), row(1), row(2), row(3));

@@ -312,7 +312,7 @@ impl Tensor {
             return self.clone();
         }
         let mut data = vec![0.0f32; num_elements(dims)];
-        broadcast_walk(dims, [&self.shape], |o, n, [(s, step)]| {
+        broadcast_walk(dims, [&self.shape], 0..data.len(), |o, n, [(s, step)]| {
             let out = &mut data[o..o + n];
             if step == 1 {
                 out.copy_from_slice(&self.data()[s..s + n]);
@@ -333,7 +333,8 @@ impl Tensor {
             return self.clone();
         }
         let mut out = vec![0.0f32; num_elements(orig_dims)];
-        broadcast_walk(&self.shape, [orig_dims], |o, n, [(s, step)]| {
+        let len = self.data().len();
+        broadcast_walk(&self.shape, [orig_dims], 0..len, |o, n, [(s, step)]| {
             let src = &self.data()[o..o + n];
             if step == 1 {
                 for (acc, v) in out[s..s + n].iter_mut().zip(src) {
