@@ -81,7 +81,7 @@ run_bench() {
 }
 
 run_determinism() {
-    stage "determinism guard: same-seed losses across IST_THREADS=1 vs 4"
+    stage "determinism guard: same-seed losses and Table 2 across IST_THREADS=1 vs 4"
     # The quickstart trains with verbose per-epoch losses on stderr. The
     # reported losses must be byte-identical regardless of pool size: the
     # worker pool partitions work, it must never change results.
@@ -95,6 +95,18 @@ run_determinism() {
     fi
     echo "losses identical across thread counts:"
     grep '^epoch' "$t1"
+
+    # Every Table-2 model, not only the quickstart's ISRec: the small-scale
+    # table (~10 s) must come out byte-identical at both pool sizes.
+    local tab1 tab4
+    mktemp_tracked tab1; mktemp_tracked tab4
+    IST_THREADS=1 cargo run --release --locked -p ist-bench --bin table2 -- --scale small >"$tab1"
+    IST_THREADS=4 cargo run --release --locked -p ist-bench --bin table2 -- --scale small >"$tab4"
+    if ! diff "$tab1" "$tab4"; then
+        echo "FAIL: Table 2 differs between IST_THREADS=1 and IST_THREADS=4" >&2
+        exit 1
+    fi
+    echo "Table 2 identical across thread counts"
 }
 
 run_simd() {

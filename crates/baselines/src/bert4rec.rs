@@ -5,12 +5,12 @@
 //! At inference the history is extended with one `[MASK]` whose output
 //! position scores the next item.
 
-use isrec_core::{SequentialRecommender, TrainConfig, TrainReport};
+use isrec_core::{trainer, SequentialRecommender, TrainConfig, TrainReport};
 use ist_autograd::{fused, ops};
+use ist_data::sampling::SeqBatch;
 use ist_data::{LeaveOneOut, SequentialDataset};
 use ist_nn::attention::{attention_mask, TransformerEncoder};
 use ist_nn::embedding::{Embedding, PositionalEmbedding};
-use ist_nn::optim::{clip_grad_norm, Adam};
 use ist_nn::{ctx::dropout, Ctx, Module};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use rand::seq::SliceRandom;
@@ -121,6 +121,48 @@ impl Bert4Rec {
         ops::matmul_nt(&x, &items)
     }
 
+    /// One Cloze batch over `users`: each real position is masked with
+    /// probability `mask_prob`, and the last is always masked when nothing
+    /// else was, so training matches inference.
+    fn cloze_batch(
+        &self,
+        sequences: &[Vec<usize>],
+        users: &[usize],
+        rng: &mut SeedRng,
+    ) -> SeqBatch {
+        let st = self.state.as_ref().expect("fit first");
+        let (t, b) = (self.max_len, users.len());
+        let mut batch = SeqBatch {
+            inputs: vec![st.pad_id; b * t],
+            targets: vec![st.pad_id; b * t],
+            weights: vec![0.0; b * t],
+            pad: vec![true; b * t],
+            batch: b,
+            len: t,
+            users: users.to_vec(),
+        };
+        for (bi, &u) in users.iter().enumerate() {
+            let seq = &sequences[u];
+            let take = seq.len().min(t);
+            let start = seq.len() - take;
+            let mut masked_any = false;
+            for j in 0..take {
+                let i = bi * t + t - take + j;
+                let real = seq[start + j];
+                batch.pad[i] = false;
+                if rng.gen::<f32>() < self.mask_prob || (j == take - 1 && !masked_any) {
+                    batch.inputs[i] = st.mask_id;
+                    batch.targets[i] = real;
+                    batch.weights[i] = 1.0;
+                    masked_any = true;
+                } else {
+                    batch.inputs[i] = real;
+                }
+            }
+        }
+        batch
+    }
+
     fn params(&self) -> Vec<ist_autograd::Param> {
         let st = self.state.as_ref().expect("fit first");
         let mut p = st.items.params();
@@ -149,72 +191,21 @@ impl SequentialRecommender for Bert4Rec {
         train: &TrainConfig,
     ) -> TrainReport {
         self.build(dataset, train.seed);
-        let (pad_id, mask_id) = {
-            let st = self.state.as_ref().expect("built");
-            (st.pad_id, st.mask_id)
-        };
-        let params = self.params();
-        let mut opt = Adam::new(params.clone(), train.lr, train.l2);
-        let mut rng = SeedRng::seed(train.seed);
-        let mut report = TrainReport::default();
-        let t = self.max_len;
-
-        let mut users: Vec<usize> = (0..split.train.len())
+        let users: Vec<usize> = (0..split.train.len())
             .filter(|&u| split.train[u].len() >= 2)
             .collect();
-        for epoch in 0..train.epochs {
-            users.shuffle(&mut rng);
-            let mut loss_sum = 0.0f64;
-            let mut steps = 0usize;
-            for chunk in users.chunks(train.batch_size.max(1)) {
-                let b = chunk.len();
-                let mut inputs = vec![pad_id; b * t];
-                let mut targets = vec![pad_id; b * t];
-                let mut weights = vec![0.0f32; b * t];
-                let mut pad = vec![true; b * t];
-                for (bi, &u) in chunk.iter().enumerate() {
-                    let seq = &split.train[u];
-                    let take = seq.len().min(t);
-                    let start = seq.len() - take;
-                    let mut masked_any = false;
-                    for j in 0..take {
-                        let posn = t - take + j;
-                        let real = seq[start + j];
-                        pad[bi * t + posn] = false;
-                        // Cloze masking: the last real position is always a
-                        // candidate so training matches inference.
-                        let is_last = j == take - 1;
-                        if rng.gen::<f32>() < self.mask_prob || (is_last && !masked_any) {
-                            inputs[bi * t + posn] = mask_id;
-                            targets[bi * t + posn] = real;
-                            weights[bi * t + posn] = 1.0;
-                            masked_any = true;
-                        } else {
-                            inputs[bi * t + posn] = real;
-                        }
-                    }
-                }
-                if weights.iter().all(|&w| w == 0.0) {
-                    continue;
-                }
-                let mut ctx = Ctx::train(train.seed ^ ((epoch as u64) << 28) ^ steps as u64);
-                let logits = self.logits(&mut ctx, &inputs, &pad, b, t);
-                let loss = fused::cross_entropy_rows(&logits, &targets, &weights);
-                loss_sum += loss.value().item() as f64;
-                ctx.tape.backward(&loss);
-                if train.grad_clip > 0.0 {
-                    clip_grad_norm(&params, train.grad_clip);
-                }
-                opt.step();
-                steps += 1;
-            }
-            report.epoch_losses.push(if steps > 0 {
-                (loss_sum / steps as f64) as f32
-            } else {
-                0.0
-            });
-        }
-        report
+        let draw = |rng: &mut SeedRng| {
+            let mut users = users.clone();
+            users.shuffle(rng);
+            users
+                .chunks(train.batch_size.max(1))
+                .map(|chunk| self.cloze_batch(&split.train, chunk, rng))
+                .collect()
+        };
+        trainer::train(train, self.params(), draw, |ctx, b: &SeqBatch| {
+            let logits = self.logits(ctx, &b.inputs, &b.pad, b.batch, b.len);
+            fused::cross_entropy_rows(&logits, &b.targets, &b.weights)
+        })
     }
 
     fn score_batch(

@@ -2,13 +2,12 @@
 //! vertical convolutions over the embedding matrix of the last `L` items,
 //! combined with a user embedding.
 
-use isrec_core::{SequentialRecommender, TrainConfig, TrainReport};
+use isrec_core::{trainer, SequentialRecommender, TrainConfig, TrainReport};
 use ist_autograd::{fused, ops};
 use ist_data::{LeaveOneOut, SequentialDataset};
 use ist_nn::conv::{HorizontalConv, VerticalConv};
 use ist_nn::embedding::Embedding;
 use ist_nn::linear::Linear;
-use ist_nn::optim::{clip_grad_norm, Adam};
 use ist_nn::{ctx::dropout, Ctx, Module};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use rand::seq::SliceRandom;
@@ -130,51 +129,41 @@ impl SequentialRecommender for Caser {
     ) -> TrainReport {
         self.build(dataset, train.seed);
         let pad_id = self.state.as_ref().expect("built").pad_id;
-        let params = self.params();
-        let mut opt = Adam::new(params.clone(), train.lr, train.l2);
-        let mut rng = SeedRng::seed(train.seed);
-        let mut report = TrainReport::default();
 
         // Training samples: every position with ≥1 predecessor.
-        let mut samples: Vec<(usize, usize)> = Vec::new();
-        for (u, seq) in split.train.iter().enumerate() {
-            for t in 1..seq.len() {
-                samples.push((u, t));
-            }
-        }
-
-        for epoch in 0..train.epochs {
-            samples.shuffle(&mut rng);
-            let mut loss_sum = 0.0f64;
-            let mut steps = 0usize;
-            for chunk in samples.chunks(train.batch_size.max(1)) {
-                let mut users = Vec::with_capacity(chunk.len());
-                let mut windows = Vec::with_capacity(chunk.len() * self.window);
-                let mut targets = Vec::with_capacity(chunk.len());
-                for &(u, t) in chunk {
-                    users.push(u);
-                    windows.extend(self.window_of(&split.train[u][..t], pad_id));
-                    targets.push(split.train[u][t]);
-                }
-                let weights = vec![1.0f32; targets.len()];
-                let mut ctx = Ctx::train(train.seed ^ ((epoch as u64) << 16) ^ steps as u64);
-                let logits = self.logits(&mut ctx, &users, &windows);
-                let loss = fused::cross_entropy_rows(&logits, &targets, &weights);
-                loss_sum += loss.value().item() as f64;
-                ctx.tape.backward(&loss);
-                if train.grad_clip > 0.0 {
-                    clip_grad_norm(&params, train.grad_clip);
-                }
-                opt.step();
-                steps += 1;
-            }
-            report.epoch_losses.push(if steps > 0 {
-                (loss_sum / steps as f64) as f32
-            } else {
-                0.0
-            });
-        }
-        report
+        let samples: Vec<(usize, usize)> = split
+            .train
+            .iter()
+            .enumerate()
+            .flat_map(|(u, seq)| (1..seq.len()).map(move |t| (u, t)))
+            .collect();
+        let draw = |rng: &mut SeedRng| {
+            let mut samples = samples.clone();
+            samples.shuffle(rng);
+            samples
+                .chunks(train.batch_size.max(1))
+                .map(|chunk| {
+                    let mut users = Vec::with_capacity(chunk.len());
+                    let mut windows = Vec::with_capacity(chunk.len() * self.window);
+                    let mut targets = Vec::with_capacity(chunk.len());
+                    for &(u, t) in chunk {
+                        users.push(u);
+                        windows.extend(self.window_of(&split.train[u][..t], pad_id));
+                        targets.push(split.train[u][t]);
+                    }
+                    (users, windows, targets)
+                })
+                .collect()
+        };
+        trainer::train(
+            train,
+            self.params(),
+            draw,
+            |ctx, (users, windows, targets)| {
+                let logits = self.logits(ctx, users, windows);
+                fused::cross_entropy_rows(&logits, targets, &vec![1.0; targets.len()])
+            },
+        )
     }
 
     fn score_batch(

@@ -108,11 +108,6 @@ pub fn bpr_loss(x_uij: f32) -> f32 {
     }
 }
 
-/// Builds the user-index list for evaluation batches of size ≤ `chunk`.
-pub fn chunked<T>(xs: &[T], chunk: usize) -> impl Iterator<Item = &[T]> {
-    xs.chunks(chunk.max(1))
-}
-
 /// Popularity counts over the training split only (no test leakage).
 pub fn train_popularity(dataset: &SequentialDataset, split: &LeaveOneOut) -> Vec<usize> {
     let mut pop = vec![0usize; dataset.num_items];

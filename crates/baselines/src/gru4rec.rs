@@ -14,12 +14,10 @@ use ist_data::sampling::SeqBatcher;
 use ist_data::{LeaveOneOut, SequentialDataset};
 use ist_nn::embedding::Embedding;
 use ist_nn::linear::Linear;
-use ist_nn::optim::{clip_grad_norm, Adam};
 use ist_nn::rnn::Gru;
 use ist_nn::{Ctx, Module};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use ist_tensor::Tensor;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Loss variant selector.
@@ -94,88 +92,62 @@ impl Gru4Rec {
         p
     }
 
-    /// BPR-max fit loop (GRU4Rec⁺).
+    /// BPR-max fit (GRU4Rec⁺). Each step samples `n_neg` negatives per
+    /// position from its `Ctx` RNG, whose seed depends only on the seed,
+    /// epoch and step, so rollback and resume replay them without an epoch
+    /// of `rows × n_neg` ids held in memory.
     fn fit_bpr_max(
-        &mut self,
+        &self,
         dataset: &SequentialDataset,
         split: &LeaveOneOut,
         train: &TrainConfig,
     ) -> TrainReport {
-        let st_pad = self.state.as_ref().expect("built").pad_id;
-        let batcher = SeqBatcher::new(self.max_len, train.batch_size, st_pad);
-        let params = self.params();
-        let mut opt = Adam::new(params.clone(), train.lr, train.l2);
-        let mut rng = SeedRng::seed(train.seed);
-        let mut report = TrainReport::default();
+        let st = self.state.as_ref().expect("built");
+        let batcher = SeqBatcher::new(self.max_len, train.batch_size, st.pad_id);
         let n_neg = self
             .num_negatives
             .min(dataset.num_items.saturating_sub(1))
             .max(1);
+        let draw = |rng: &mut SeedRng| trainer::shuffled_batches(split, &batcher, rng);
+        trainer::train(train, self.params(), draw, |ctx, batch| {
+            let rows = batch.batch * batch.len;
+            let h = self.encode(ctx, &batch.inputs, batch.batch, batch.len);
+            let table = st.items.full(ctx);
 
-        let mut users: Vec<usize> = (0..split.train.len()).collect();
-        for epoch in 0..train.epochs {
-            users.shuffle(&mut rng);
-            let mut loss_sum = 0.0f64;
-            let mut steps = 0usize;
-            for batch in batcher.batches(&split.train, &users) {
-                if batch.weights.iter().all(|&w| w == 0.0) {
-                    continue;
-                }
-                let rows = batch.batch * batch.len;
-                let mut ctx = Ctx::train(train.seed ^ ((epoch as u64) << 24) ^ steps as u64);
-                let h = self.encode(&mut ctx, &batch.inputs, batch.batch, batch.len);
-                let st = self.state.as_ref().expect("built");
-                let table = st.items.full(&ctx);
+            // Positive scores: ⟨h_r, e_{target_r}⟩ (pad targets map to the
+            // pad row; their weight is 0 so they cancel).
+            let pos_e = ops::index_select_rows(&table, &batch.targets);
+            let s_pos = ops::sum_lastdim(&ops::mul(&h, &pos_e)); // [rows]
 
-                // Positive scores: ⟨h_r, e_{target_r}⟩ (pad targets map to
-                // the pad row; their weight is 0 so they cancel).
-                let pos_e = ops::index_select_rows(&table, &batch.targets);
-                let s_pos = ops::sum_lastdim(&ops::mul(&h, &pos_e)); // [rows]
-
-                // Negative scores: n_neg sampled items per row.
-                let mut neg_ids = Vec::with_capacity(rows * n_neg);
-                for r in 0..rows {
-                    for _ in 0..n_neg {
-                        let mut j = rng.gen_range(0..st.num_items);
-                        while j == batch.targets[r] {
-                            j = rng.gen_range(0..st.num_items);
-                        }
-                        neg_ids.push(j);
+            // Negative scores: n_neg sampled items per row.
+            let mut neg_ids = Vec::with_capacity(rows * n_neg);
+            for &target in &batch.targets {
+                for _ in 0..n_neg {
+                    let mut j = ctx.rng.gen_range(0..st.num_items);
+                    while j == target {
+                        j = ctx.rng.gen_range(0..st.num_items);
                     }
+                    neg_ids.push(j);
                 }
-                let neg_e = ops::index_select_rows(&table, &neg_ids); // [rows·n, d]
-                let neg_e = ops::reshape(&neg_e, &[rows, n_neg, self.dim]);
-                let h3 = ops::reshape(&h, &[rows, 1, self.dim]);
-                let s_neg = ops::sum_lastdim(&ops::mul(&h3, &neg_e)); // [rows, n]
-
-                // BPR-max: −ln Σⱼ softmax(s_neg)ⱼ · σ(s_pos − s_negⱼ) + reg.
-                let a = ist_autograd::fused::softmax_lastdim(&s_neg);
-                let diff = ops::sub(&ops::reshape(&s_pos, &[rows, 1]), &s_neg);
-                let inner = ops::sum_lastdim(&ops::mul(&a, &ops::sigmoid(&diff)));
-                let nll = ops::neg(&ops::ln(&ops::add_scalar(&inner, 1e-8)));
-                let reg = ops::sum_lastdim(&ops::mul(&a, &ops::mul(&s_neg, &s_neg)));
-                let per_row = ops::add(&nll, &ops::scale(&reg, 0.05));
-
-                // Weighted mean over the real (non-pad) positions.
-                let w = ctx.constant(Tensor::from_vec(batch.weights.clone(), &[rows]));
-                let wsum: f32 = batch.weights.iter().sum();
-                let loss = ops::scale(&ops::sum_all(&ops::mul(&per_row, &w)), 1.0 / wsum);
-
-                loss_sum += loss.value().item() as f64;
-                ctx.tape.backward(&loss);
-                if train.grad_clip > 0.0 {
-                    clip_grad_norm(&params, train.grad_clip);
-                }
-                opt.step();
-                steps += 1;
             }
-            report.epoch_losses.push(if steps > 0 {
-                (loss_sum / steps as f64) as f32
-            } else {
-                0.0
-            });
-        }
-        report
+            let neg_e = ops::index_select_rows(&table, &neg_ids); // [rows·n, d]
+            let neg_e = ops::reshape(&neg_e, &[rows, n_neg, self.dim]);
+            let h3 = ops::reshape(&h, &[rows, 1, self.dim]);
+            let s_neg = ops::sum_lastdim(&ops::mul(&h3, &neg_e)); // [rows, n]
+
+            // BPR-max: −ln Σⱼ softmax(s_neg)ⱼ · σ(s_pos − s_negⱼ) + reg.
+            let a = ist_autograd::fused::softmax_lastdim(&s_neg);
+            let diff = ops::sub(&ops::reshape(&s_pos, &[rows, 1]), &s_neg);
+            let inner = ops::sum_lastdim(&ops::mul(&a, &ops::sigmoid(&diff)));
+            let nll = ops::neg(&ops::ln(&ops::add_scalar(&inner, 1e-8)));
+            let reg = ops::sum_lastdim(&ops::mul(&a, &ops::mul(&s_neg, &s_neg)));
+            let per_row = ops::add(&nll, &ops::scale(&reg, 0.05));
+
+            // Weighted mean over the real (non-pad) positions.
+            let w = ctx.constant(Tensor::from_vec(batch.weights.clone(), &[rows]));
+            let wsum: f32 = batch.weights.iter().sum();
+            ops::scale(&ops::sum_all(&ops::mul(&per_row, &w)), 1.0 / wsum)
+        })
     }
 }
 

@@ -2,12 +2,11 @@
 //! concatenation of user and item embeddings, trained with the logistic
 //! loss on sampled negatives.
 
-use isrec_core::{SequentialRecommender, TrainConfig, TrainReport};
+use isrec_core::{trainer, SequentialRecommender, TrainConfig, TrainReport};
 use ist_autograd::ops;
 use ist_data::{LeaveOneOut, SequentialDataset};
 use ist_nn::embedding::Embedding;
 use ist_nn::linear::Mlp;
-use ist_nn::optim::Adam;
 use ist_nn::{Ctx, Module};
 use ist_tensor::rng::{SeedRng, SeedRngExt as _};
 use rand::seq::SliceRandom;
@@ -83,56 +82,47 @@ impl SequentialRecommender for Ncf {
             p.extend(st.mlp.params());
             p
         };
-        let mut opt = Adam::new(params, train.lr, train.l2);
-
-        let mut positions = training_positions(split);
-        let mut report = TrainReport::default();
-        for epoch in 0..train.epochs {
-            positions.shuffle(&mut rng);
-            let mut loss_sum = 0.0f64;
-            let mut steps = 0usize;
-            for chunk in positions.chunks(train.batch_size.max(1)) {
-                let mut users = Vec::with_capacity(chunk.len() * 2);
-                let mut items = Vec::with_capacity(chunk.len() * 2);
-                let mut labels = Vec::with_capacity(chunk.len() * 2);
-                for &(u, t) in chunk {
-                    let pos = split.train[u][t];
-                    users.push(u);
-                    items.push(pos);
-                    labels.push(1.0f32);
-                    users.push(u);
-                    items.push(sample_one_negative(dataset.num_items, pos, &mut rng));
-                    labels.push(0.0);
-                }
-                let mut ctx = Ctx::train(train.seed ^ ((epoch as u64) << 20) ^ steps as u64);
-                let logits = self.forward_pairs(&mut ctx, &users, &items);
-                // Logistic loss: −y·lnσ(s) − (1−y)·ln(1−σ(s)), stabilised by
-                // clamping the sigmoid away from {0, 1}.
-                let probs = ops::sigmoid(&logits);
-                let probs = ops::add_scalar(&ops::scale(&probs, 1.0 - 2e-6), 1e-6);
-                let y = ctx.constant(ist_tensor::Tensor::from_vec(
-                    labels.clone(),
-                    &[labels.len(), 1],
-                ));
-                let one_minus_y = ops::add_scalar(&ops::neg(&y), 1.0);
-                let term_pos = ops::mul(&y, &ops::ln(&probs));
-                let term_neg = ops::mul(
-                    &one_minus_y,
-                    &ops::ln(&ops::add_scalar(&ops::neg(&probs), 1.0)),
-                );
-                let loss = ops::neg(&ops::mean_all(&ops::add(&term_pos, &term_neg)));
-                loss_sum += loss.value().item() as f64;
-                ctx.tape.backward(&loss);
-                opt.step();
-                steps += 1;
-            }
-            report.epoch_losses.push(if steps > 0 {
-                (loss_sum / steps as f64) as f32
-            } else {
-                0.0
-            });
-        }
-        report
+        let positions = training_positions(split);
+        let draw = |rng: &mut SeedRng| {
+            let mut positions = positions.clone();
+            positions.shuffle(rng);
+            positions
+                .chunks(train.batch_size.max(1))
+                .map(|chunk| {
+                    let mut users = Vec::with_capacity(chunk.len() * 2);
+                    let mut items = Vec::with_capacity(chunk.len() * 2);
+                    let mut labels = Vec::with_capacity(chunk.len() * 2);
+                    for &(u, t) in chunk {
+                        let pos = split.train[u][t];
+                        users.push(u);
+                        items.push(pos);
+                        labels.push(1.0f32);
+                        users.push(u);
+                        items.push(sample_one_negative(dataset.num_items, pos, rng));
+                        labels.push(0.0);
+                    }
+                    (users, items, labels)
+                })
+                .collect()
+        };
+        trainer::train(train, params, draw, |ctx, (users, items, labels)| {
+            let logits = self.forward_pairs(ctx, users, items);
+            // Logistic loss: −y·lnσ(s) − (1−y)·ln(1−σ(s)), stabilised by
+            // clamping the sigmoid away from {0, 1}.
+            let probs = ops::sigmoid(&logits);
+            let probs = ops::add_scalar(&ops::scale(&probs, 1.0 - 2e-6), 1e-6);
+            let y = ctx.constant(ist_tensor::Tensor::from_vec(
+                labels.clone(),
+                &[labels.len(), 1],
+            ));
+            let one_minus_y = ops::add_scalar(&ops::neg(&y), 1.0);
+            let term_pos = ops::mul(&y, &ops::ln(&probs));
+            let term_neg = ops::mul(
+                &one_minus_y,
+                &ops::ln(&ops::add_scalar(&ops::neg(&probs), 1.0)),
+            );
+            ops::neg(&ops::mean_all(&ops::add(&term_pos, &term_neg)))
+        })
     }
 
     fn score_batch(

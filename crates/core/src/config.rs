@@ -141,7 +141,11 @@ impl CheckpointConfig {
     }
 }
 
-/// Optimisation settings shared by every model in the workspace.
+/// Optimisation settings shared by every model in the workspace. Every
+/// Adam-trained model fits through `crate::trainer::train`, which reads
+/// every field but `batch_size` (the model's own batches take that one);
+/// the closed-form BPR-SGD trainers (BPR-MF, FPMC, DGCF) read only
+/// `epochs`, `lr`, `l2` and `seed`.
 #[derive(Clone, Debug)]
 pub struct TrainConfig {
     /// Number of passes over the training users.

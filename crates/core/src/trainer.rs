@@ -1,5 +1,8 @@
-//! The shared next-item training loop (Eq. 13–14) used by ISRec and by
-//! every gradient-trained baseline with a full-softmax objective.
+//! The one training loop (Eq. 13–14). Every Adam-trained model in the
+//! workspace fits through [`train`]: ISRec, SASRec and GRU4Rec through its
+//! next-item wrapper [`train_next_item`], and BERT4Rec, Caser, GRU4Rec⁺ and
+//! NCF with their own batches and losses. The closed-form BPR-SGD trainers
+//! (BPR-MF, FPMC, DGCF) have no tape and no optimizer and stay outside.
 
 use ist_autograd::{fused, Param, Var};
 use ist_data::sampling::{SeqBatch, SeqBatcher};
@@ -57,35 +60,34 @@ impl GoodState {
     }
 }
 
-/// Trains with Adam on the weighted next-item cross-entropy.
+/// Trains `params` with Adam, minimising the scalar that `loss_of` maps
+/// each batch to. The L2 term of Eq. (14) is applied as weight decay inside
+/// Adam, and `cfg.grad_clip` bounds the global gradient norm.
 ///
-/// `forward` maps a training batch to full-vocabulary logits
-/// (`[batch·len, num_items]`, aligned with the batch's `targets`/`weights`).
-/// The L2 term of Eq. (14) is applied as weight decay inside Adam.
+/// `draw` builds one epoch's batches from the trainer's shuffle RNG, and
+/// must depend on nothing else that changes between calls: a rolled-back
+/// or resumed epoch restores the RNG and calls `draw` again, which then
+/// replays the same order, masks and negatives. Step `s` of epoch `e` runs
+/// `loss_of` once, on a [`Ctx`] seeded `cfg.seed ^ e << 32 ^ s`.
 ///
-/// Threading: batch assembly and the tensor ops inside `forward`/backward
-/// fan out over the shared worker pool, but the epoch shuffle RNG and the
+/// Threading: batch assembly and the tensor ops inside `loss_of`/backward
+/// fan out over the shared worker pool, but the epoch RNG and the
 /// optimizer step stay on this thread — gradients are applied in a fixed
 /// order, so same-seed runs produce identical losses at any `IST_THREADS`.
 ///
 /// Fault tolerance (always on): a non-finite loss or gradient norm aborts
-/// the epoch, rolls parameters and optimizer back to the start-of-epoch
-/// state, halves the learning rate, and retries (bounded by
+/// the epoch, rolls parameters, optimizer and RNG back to the
+/// start-of-epoch state, halves the learning rate, and retries (bounded by
 /// `cfg.max_recovery_retries`); every action lands in
 /// [`TrainReport::recovery`]. With `cfg.checkpoint` enabled, epochs are
 /// durably checkpointed and the run resumes from the newest valid
 /// checkpoint, reproducing the uninterrupted run's remaining epoch losses
 /// bitwise. `cfg.faults` / `IST_FAULTS` inject deterministic faults to
 /// exercise all of this (see `crate::fault`).
-pub fn train_next_item<F>(
-    split: &LeaveOneOut,
-    batcher: &SeqBatcher,
-    cfg: &TrainConfig,
-    params: Vec<Param>,
-    mut forward: F,
-) -> TrainReport
+pub fn train<B, D, L>(cfg: &TrainConfig, params: Vec<Param>, draw: D, mut loss_of: L) -> TrainReport
 where
-    F: FnMut(&mut Ctx, &SeqBatch) -> Var,
+    D: Fn(&mut SeedRng) -> Vec<B>,
+    L: FnMut(&mut Ctx, &B) -> Var,
 {
     let mut opt = Adam::new(params.clone(), cfg.lr, cfg.l2);
     let mut shuffle_rng = SeedRng::seed(cfg.seed ^ 0x00ffa17e);
@@ -135,30 +137,22 @@ where
         }
     }
 
-    let n_users = split.train.len();
     'epochs: for epoch in start_epoch..cfg.epochs {
         let mut span = ist_obs::Span::enter("train.epoch").field("epoch", epoch);
         ist_tensor::mem::begin_epoch();
         let mut attempts = 0usize;
         let (mean, steps_done, last_gnorm) = loop {
             let good = GoodState::capture(&params, &opt, &shuffle_rng);
-            let mut user_ids: Vec<usize> = (0..n_users).collect();
-            user_ids.shuffle(&mut shuffle_rng);
-            let batches = batcher.batches(&split.train, &user_ids);
+            let batches = draw(&mut shuffle_rng);
             let mut epoch_loss = 0.0f64;
-            let mut steps = 0usize;
             let mut last_gnorm = 0.0f32;
             let mut failure: Option<(usize, RecoveryKind)> = None;
             for (step, batch) in batches.iter().enumerate() {
-                if batch.weights.iter().all(|&w| w == 0.0) {
-                    continue; // nothing to predict in this batch
-                }
                 let mut ctx = Ctx::train(cfg.seed ^ ((epoch as u64) << 32) ^ step as u64);
                 let loss = {
                     let _t = FWD_TIMER.start();
                     let _w = ist_autograd::profile::forward_window();
-                    let logits = forward(&mut ctx, batch);
-                    fused::cross_entropy_rows(&logits, &batch.targets, &batch.weights)
+                    loss_of(&mut ctx, batch)
                 };
                 let mut loss_val = loss.value().item();
                 if faults.take_loss_nan(epoch, step) {
@@ -195,10 +189,10 @@ where
                 opt.step();
                 last_gnorm = gnorm;
                 epoch_loss += loss_val as f64;
-                steps += 1;
             }
             match failure {
                 None => {
+                    let steps = batches.len();
                     break if steps > 0 {
                         ((epoch_loss / steps as f64) as f32, steps, last_gnorm)
                     } else {
@@ -270,6 +264,42 @@ where
         }
     }
     report
+}
+
+/// Trains a next-item model through [`train`] on the weighted cross-entropy.
+///
+/// `forward` maps a training batch to full-vocabulary logits
+/// (`[batch·len, num_items]`, aligned with the batch's `targets`/`weights`)
+/// and is called once per step, in step order (again for the steps a
+/// rolled-back epoch replays). ISRec, SASRec and GRU4Rec fit through here.
+pub fn train_next_item<F>(
+    split: &LeaveOneOut,
+    batcher: &SeqBatcher,
+    cfg: &TrainConfig,
+    params: Vec<Param>,
+    mut forward: F,
+) -> TrainReport
+where
+    F: FnMut(&mut Ctx, &SeqBatch) -> Var,
+{
+    let draw = |rng: &mut SeedRng| shuffled_batches(split, batcher, rng);
+    train(cfg, params, draw, |ctx, batch| {
+        let logits = forward(ctx, batch);
+        fused::cross_entropy_rows(&logits, &batch.targets, &batch.weights)
+    })
+}
+
+/// One epoch of `batcher`'s batches over every training user, in an order
+/// shuffled by `rng`. The batcher skips users without a transition, so
+/// every batch has at least one target.
+pub fn shuffled_batches(
+    split: &LeaveOneOut,
+    batcher: &SeqBatcher,
+    rng: &mut SeedRng,
+) -> Vec<SeqBatch> {
+    let mut user_ids: Vec<usize> = (0..split.train.len()).collect();
+    user_ids.shuffle(rng);
+    batcher.batches(&split.train, &user_ids)
 }
 
 #[cfg(test)]

@@ -232,6 +232,63 @@ fn isrec_resume_replays_uninterrupted_losses_bitwise() {
 }
 
 #[test]
+fn adam_baselines_recover_and_resume_like_isrec() {
+    use isrec_suite::isrec::{CheckpointConfig, RecoveryKind};
+
+    let ds = tiny_world(9);
+    let split = LeaveOneOut::split(&ds.sequences);
+    let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    for spec in [
+        ModelSpec::Bert4Rec,
+        ModelSpec::Caser,
+        ModelSpec::Gru4RecPlus,
+        ModelSpec::Ncf,
+    ] {
+        let train = |epochs: usize, checkpoint: CheckpointConfig, faults: &str| {
+            let mut model = spec.build(&ds, 10);
+            let report = model.fit(
+                &ds,
+                &split,
+                &TrainConfig {
+                    epochs,
+                    checkpoint,
+                    faults: Some(faults.into()),
+                    ..fast_train()
+                },
+            );
+            (model.name(), report)
+        };
+
+        let (name, faulted) = train(2, CheckpointConfig::default(), "loss_nan@e1s0");
+        let kinds: Vec<RecoveryKind> = faulted.recovery.iter().map(|ev| ev.kind).collect();
+        assert_eq!(kinds, [RecoveryKind::NonFiniteLoss], "{name}");
+        assert_eq!(faulted.epoch_losses.len(), 2, "{name}");
+        assert!(
+            faulted.epoch_losses.iter().all(|l| l.is_finite()),
+            "{name}: {:?}",
+            faulted.epoch_losses
+        );
+
+        let (_, full) = train(4, CheckpointConfig::default(), "");
+        let dir = std::env::temp_dir().join(format!(
+            "isrec-e2e-resume-{}-{}",
+            name.replace('+', "plus"),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        train(2, CheckpointConfig::in_dir(&dir), "");
+        let (_, resumed) = train(4, CheckpointConfig::in_dir(&dir), "");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(resumed.resumed_from, Some(1), "{name}");
+        assert_eq!(
+            bits(&resumed.epoch_losses),
+            bits(&full.epoch_losses[2..]),
+            "resumed {name} must replay the uninterrupted run's losses bitwise"
+        );
+    }
+}
+
+#[test]
 fn suite_runner_produces_a_full_table_block() {
     let ds = tiny_world(6);
     let train = TrainConfig {
